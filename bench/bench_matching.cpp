@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "stats/stats.h"
 #include "util/thread_pool.h"
 #include "workload/event_gen.h"
 
@@ -199,8 +198,7 @@ void BM_SummaryMatchTelemetry(benchmark::State& state) {
   obs::Histogram* hist = metrics.histogram_ex("subsum_match_latency_us");
   obs::StageSet stages(metrics);
   obs::FlightRecorder flight(0, 1024);
-  stats::Counters counters;
-  stats::Counters::Handle* matched = counters.handle("events_matched");
+  obs::Counter* matched = metrics.counter("subsum_events_matched_total");
   size_t i = 0;
   for (auto _ : state) {
     const uint64_t trace = obs::mint_trace_id(0, i, 42);

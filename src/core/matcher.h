@@ -150,6 +150,15 @@ class NaiveMatcher {
   /// Exact matches, sorted by id.
   [[nodiscard]] std::vector<model::SubId> match(const model::Event& event) const;
 
+  /// The subscription stored under `id`, or null. Both lookups by id scan
+  /// the table in insertion order.
+  [[nodiscard]] const model::OwnedSubscription* find(model::SubId id) const;
+
+  /// The owner's exact re-filter: the ids among `ids` that this table holds
+  /// and whose subscription matches `event`, in the order given.
+  [[nodiscard]] std::vector<model::SubId> refilter(std::span<const model::SubId> ids,
+                                                   const model::Event& event) const;
+
   [[nodiscard]] const std::vector<model::OwnedSubscription>& subs() const noexcept {
     return subs_;
   }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 
 #include "core/frozen_index.h"
 
@@ -136,7 +137,7 @@ BrokerNode::BrokerNode(BrokerConfig cfg)
       if (le.id.broker != cfg_.id || le.ttl == 0) continue;
       // Restart re-arms the full window: the owner gets one whole lease to
       // re-attach or renew against the new incarnation before expiry.
-      leases_[le.id.local] = Lease{le.ttl, le.ttl};
+      leases_[le.id.local] = Lease{le.ttl, le.ttl, le.id};
     }
   }
   // Incarnation breadcrumbs: every dump opens with what this process knew
@@ -299,6 +300,10 @@ void BrokerNode::handle_connection(Socket sock) {
   conn->sock = &sock;
   {
     std::lock_guard lk(threads_mu_);
+    // stop() sets stopping_ before it shuts the registered connections
+    // down under this lock; a connection registering after that would
+    // never be shut down, and stop() would join a handler blocked on it.
+    if (stopping_) return;
     std::erase_if(conns_, [](const std::weak_ptr<ClientConn>& w) { return w.expired(); });
     conns_.push_back(conn);
   }
@@ -519,21 +524,17 @@ void BrokerNode::on_subscribe(Socket& s, const std::shared_ptr<ClientConn>& conn
     if (!governor_->admit_subscription(home_.size())) {
       rejected = true;
     } else {
-        id = SubId{cfg_.id, next_local_++, sub.mask()};
+      id = SubId{cfg_.id, next_local_++, sub.mask()};
       held_.add(sub, id);
       home_.add({id, std::move(sub)});
       subscribers_[id.local] = conn;
-      if (lease > 0) leases_[id.local] = Lease{lease, lease};
+      if (lease > 0) leases_[id.local] = Lease{lease, lease, id};
       if (store_) {
         // Durable before acked: the client may treat the ack as a promise
         // that the subscription survives kill -9.
         store_->log_subscribe(home_.subs().back());
         if (lease > 0) store_->log_lease(id, lease);
-        {
-          obs::Profiler::ScopedRole fsync_role(obs::ThreadRole::kFsync);
-          store_->commit();
-          maybe_compact_locked();
-        }
+        commit_locked();
       }
     }
   }
@@ -559,11 +560,8 @@ void BrokerNode::on_attach(Socket& s, const std::shared_ptr<ClientConn>& conn, c
   {
     std::lock_guard lk(mu_);
     for (const SubId& id : msg.ids) {
-      if (id.broker != cfg_.id) continue;
-      const auto& subs = home_.subs();
-      const bool known = std::any_of(subs.begin(), subs.end(),
-                                     [&](const auto& os) { return os.id == id; });
-      if (!known) continue;  // e.g. lost with a torn WAL tail: client must re-subscribe
+      // Unknown ids (e.g. lost with a torn WAL tail) must be re-subscribed.
+      if (id.broker != cfg_.id || !home_.find(id)) continue;
       subscribers_[id.local] = conn;
       owned_locals.push_back(id.local);
       // A re-attach is a liveness signal from the owner: treat it as a
@@ -582,23 +580,43 @@ void BrokerNode::on_unsubscribe(Socket& s, ClientConn& conn, const Frame& f) {
   util::BufReader r(f.payload);
   const SubId id = get_sub_id(r);
   {
+    // An id this broker does not own or no longer holds is acked without
+    // touching any state, so a retried unsubscribe stays idempotent.
     std::lock_guard lk(mu_);
-    home_.remove(id);
-    held_.remove(id);
-    subscribers_.erase(id.local);
-    if (id.broker == cfg_.id) leases_.erase(id.local);
-    pending_removals_.push_back(id);
-    if (store_) {
-      store_->log_unsubscribe(id);
-      {
-        obs::Profiler::ScopedRole fsync_role(obs::ThreadRole::kFsync);
-        store_->commit();
-        maybe_compact_locked();
-      }
-    }
+    if (remove_subscription_locked(id)) commit_locked();
   }
   std::lock_guard wl(conn.write_mu);
   send_frame(s, MsgKind::kUnsubscribeAck, {});
+}
+
+bool BrokerNode::remove_subscription_locked(SubId id) {
+  if (id.broker != cfg_.id || !home_.find(id)) return false;
+  home_.remove(id);
+  held_.remove(id);
+  subscribers_.erase(id.local);
+  leases_.erase(id.local);
+  pending_removals_.push_back(id);
+  if (store_) store_->log_unsubscribe(id);
+  return true;
+}
+
+void BrokerNode::commit_locked() {
+  if (!store_) return;
+  obs::Profiler::ScopedRole fsync_role(obs::ThreadRole::kFsync);
+  store_->commit();
+  if (store_->wal_records() < cfg_.snapshot_wal_threshold) return;
+  store::BrokerStore::SnapshotInput in;
+  in.next_local = next_local_;
+  in.subs = &home_.subs();
+  in.merged_brokers = merged_brokers_;
+  in.merged_epochs = merged_epochs_locked();
+  in.held = &held_;
+  in.leases.reserve(leases_.size());
+  for (const auto& [local, lease] : leases_) {
+    if (home_.find(lease.id)) in.leases.push_back({lease.id, lease.ttl, lease.remaining});
+  }
+  store_->write_snapshot(in);
+  ctr_compactions_->inc();
 }
 
 void BrokerNode::on_publish(Socket& s, ClientConn& conn, const Frame& f) {
@@ -620,7 +638,7 @@ void BrokerNode::on_publish(Socket& s, ClientConn& conn, const Frame& f) {
   msg.origin = cfg_.id;
   msg.event = get_event(r, cfg_.schema);
   const uint64_t t_decoded = obs::now_us();
-  msg.brocli = make_bitmap(cfg_.graph.size());
+  msg.brocli = routing::make_bitmap(cfg_.graph.size());
   {
     std::lock_guard lk(mu_);
     msg.seq = publish_seq_++;
@@ -650,61 +668,69 @@ void BrokerNode::ingest_full_summary(SummaryMsg msg) {
   auto incoming = core::decode_summary(msg.summary, cfg_.schema, cfg_.policy,
                                        core::AacsMode::kExact, &image_epoch);
   std::lock_guard lk(mu_);
+  if (msg.from < communicated_.size()) communicated_[msg.from] = 1;
+  // A newer incarnation's image carries its full current state (sends are
+  // state-based), so the discard in check_epochs_locked then this merge
+  // converges.
+  if (check_epochs_locked(msg.from, image_epoch, msg.merged_brokers, msg.epochs) ==
+      routing::EpochCheck::kStale) {
+    return;
+  }
+  // Mirror the sender's announced image BEFORE the removal piggyback
+  // touches it: the shadow is the base later deltas apply to and must
+  // match the sender's last_sent copy bit for bit. v3 frames carry no
+  // digest (0); computing it locally keeps them delta-upgradable if the
+  // peer upgrades mid-flight.
+  core::SummaryImage img = core::extract_image(incoming);
+  const uint64_t digest = msg.digest ? msg.digest : core::image_digest(img);
+  auto& sh = shadows_[msg.from];
+  if (sh.digest != digest || sh.version != msg.version) shadows_changed_ = true;
+  sh.image = std::move(img);
+  sh.version = msg.version;
+  sh.digest = digest;
+  sh.idle_periods = 0;
+  for (const SubId& id : msg.removals) incoming.remove(id);
+  held_.merge(incoming);
+  for (const SubId& id : msg.removals) held_.remove(id);
+  routing::merge_brokers(merged_brokers_, std::move(msg.merged_brokers));
+  // The held image changed: refresh wire-vs-model drift and the
+  // per-attribute row-occupancy distributions while it is current.
+  core::export_model_drift(metrics_, held_, wire_);
+  core::export_row_occupancy(metrics_, held_);
+}
+
+routing::EpochCheck BrokerNode::check_epochs_locked(BrokerId from, uint64_t epoch,
+                                                    const std::vector<BrokerId>& merged,
+                                                    const std::vector<uint64_t>& epochs) {
   // Anti-entropy by incarnation: an announcement stamped with an epoch
   // older than one already seen from that sender is a zombie of a
-  // pre-crash incarnation — drop it wholesale.
-  const auto from_check = peer_epochs_.observe(msg.from, image_epoch);
+  // pre-crash incarnation — the caller drops it wholesale.
+  const auto from_check = peer_epochs_.observe(from, epoch);
   if (from_check == routing::EpochCheck::kStale) {
     ctr_stale_->inc();
-  } else {
-    if (from_check == routing::EpochCheck::kNewer) {
-      // The sender restarted: everything we hold on its behalf is from
-      // the old incarnation. The image below carries its full current
-      // state (sends are state-based), so discard-then-merge converges.
-      held_.remove_broker(msg.from);
+    return from_check;
+  }
+  if (from_check == routing::EpochCheck::kNewer) {
+    // The sender restarted: everything we hold on its behalf is from the
+    // old incarnation.
+    held_.remove_broker(from);
+    ctr_superseded_->inc();
+  }
+  for (size_t i = 0; i < merged.size(); ++i) {
+    const BrokerId b = merged[i];
+    if (b == cfg_.id || b == from) continue;
+    const uint64_t e = i < epochs.size() ? epochs[i] : 0;
+    if (peer_epochs_.observe(b, e) == routing::EpochCheck::kNewer) {
+      // Transitive case: the sender aggregated b's post-restart state, so
+      // our pre-restart rows for b are superseded too. (A kStale entry is
+      // merged anyway: stale rows only cause spurious deliveries, which
+      // the owner's exact re-filter rejects, and they wash out at the next
+      // direct announcement from b.)
+      held_.remove_broker(b);
       ctr_superseded_->inc();
     }
-    for (size_t i = 0; i < msg.merged_brokers.size(); ++i) {
-      const BrokerId b = msg.merged_brokers[i];
-      if (b == cfg_.id || b == msg.from) continue;
-      const uint64_t e = i < msg.epochs.size() ? msg.epochs[i] : 0;
-      if (peer_epochs_.observe(b, e) == routing::EpochCheck::kNewer) {
-        // Transitive case: the sender aggregated b's post-restart
-        // state, so our pre-restart rows for b are superseded too. (A
-        // kStale entry is merged anyway: stale rows only cause spurious
-        // deliveries, which the owner's exact re-filter rejects, and
-        // they wash out at the next direct announcement from b.)
-        held_.remove_broker(b);
-        ctr_superseded_->inc();
-      }
-    }
-    // Mirror the sender's announced image BEFORE the removal piggyback
-    // touches it: the shadow is the base later deltas apply to and must
-    // match the sender's last_sent copy bit for bit. v3 frames carry no
-    // digest (0); computing it locally keeps them delta-upgradable if the
-    // peer upgrades mid-flight.
-    core::SummaryImage img = core::extract_image(incoming);
-    const uint64_t digest = msg.digest ? msg.digest : core::image_digest(img);
-    auto& sh = shadows_[msg.from];
-    if (sh.digest != digest || sh.version != msg.version) shadows_changed_ = true;
-    sh.image = std::move(img);
-    sh.version = msg.version;
-    sh.digest = digest;
-    sh.idle_periods = 0;
-    for (const SubId& id : msg.removals) incoming.remove(id);
-    held_.merge(incoming);
-    for (const SubId& id : msg.removals) held_.remove(id);
-    std::vector<BrokerId> merged;
-    std::sort(msg.merged_brokers.begin(), msg.merged_brokers.end());
-    std::set_union(merged_brokers_.begin(), merged_brokers_.end(), msg.merged_brokers.begin(),
-                   msg.merged_brokers.end(), std::back_inserter(merged));
-    merged_brokers_ = std::move(merged);
-    // The held image changed: refresh wire-vs-model drift and the
-    // per-attribute row-occupancy distributions while it is current.
-    core::export_model_drift(metrics_, held_, wire_);
-    core::export_row_occupancy(metrics_, held_);
   }
-  if (msg.from < communicated_.size()) communicated_[msg.from] = 1;
+  return from_check;
 }
 
 void BrokerNode::on_summary(Socket& s, ClientConn& conn, const Frame& f) {
@@ -721,28 +747,15 @@ void BrokerNode::on_summary_delta(Socket& s, ClientConn& conn, const Frame& f) {
   bool stale = false;
   {
     std::lock_guard lk(mu_);
-    const auto from_check = peer_epochs_.observe(msg.from, hdr.epoch);
+    const auto from_check =
+        check_epochs_locked(msg.from, hdr.epoch, msg.merged_brokers, msg.epochs);
     if (from_check == routing::EpochCheck::kStale) {
       // Zombie incarnation: drop, but ack kApplied so the stale sender
       // does not spiral into repair loops against state it cannot own.
-      ctr_stale_->inc();
       stale = true;
     } else {
-      if (from_check == routing::EpochCheck::kNewer) {
-        held_.remove_broker(msg.from);
-        ctr_superseded_->inc();
-        // A new incarnation deltas against a base this side cannot hold.
-        shadows_.erase(msg.from);
-      }
-      for (size_t i = 0; i < msg.merged_brokers.size(); ++i) {
-        const BrokerId b = msg.merged_brokers[i];
-        if (b == cfg_.id || b == msg.from) continue;
-        const uint64_t e = i < msg.epochs.size() ? msg.epochs[i] : 0;
-        if (peer_epochs_.observe(b, e) == routing::EpochCheck::kNewer) {
-          held_.remove_broker(b);
-          ctr_superseded_->inc();
-        }
-      }
+      // A new incarnation deltas against a base this side cannot hold.
+      if (from_check == routing::EpochCheck::kNewer) shadows_.erase(msg.from);
       auto it = shadows_.find(msg.from);
       if (it == shadows_.end() || it->second.version != hdr.base_version ||
           it->second.digest != hdr.base_digest) {
@@ -785,12 +798,7 @@ void BrokerNode::on_summary_delta(Socket& s, ClientConn& conn, const Frame& f) {
           }
           if (shrank) held_dirty_ = true;
           for (const SubId& id : msg.removals) held_.remove(id);
-          std::vector<BrokerId> merged;
-          std::sort(msg.merged_brokers.begin(), msg.merged_brokers.end());
-          std::set_union(merged_brokers_.begin(), merged_brokers_.end(),
-                         msg.merged_brokers.begin(), msg.merged_brokers.end(),
-                         std::back_inserter(merged));
-          merged_brokers_ = std::move(merged);
+          routing::merge_brokers(merged_brokers_, std::move(msg.merged_brokers));
           core::export_model_drift(metrics_, held_, wire_);
           core::export_row_occupancy(metrics_, held_);
         }
@@ -822,22 +830,16 @@ void BrokerNode::on_summary_sync(Socket& s, ClientConn& conn, const Frame& f) {
   std::vector<std::byte> payload;
   {
     std::lock_guard lk(mu_);
-    SummaryMsg msg;
-    msg.from = cfg_.id;
-    msg.merged_brokers = merged_brokers_;
-    msg.epochs = merged_epochs_locked();
     // pending_removals_ stays queued: a sync is a repair pull, not this
     // period's announcement, and removals must reach every neighbor.
-    msg.summary = core::encode_summary(held_, wire_, epoch_);
-    msg.version = held_.version();
-    core::SummaryImage img = core::extract_image(held_);
-    msg.digest = core::image_digest(img);
+    PendingSend send;
+    send.to = req.from;
+    payload = encode_full_locked(send);
     // The requester's shadow becomes exactly this image, so future deltas
     // to it must diff against it.
     if (req.from < cfg_.graph.size()) {
-      last_sent_[req.from] = LastSent{std::move(img), msg.version, msg.digest, 0};
+      record_last_sent_locked(std::move(send), /*was_full=*/true);
     }
-    payload = encode(msg);
   }
   std::lock_guard wl(conn.write_mu);
   send_frame(s, MsgKind::kSummarySyncAck, payload);
@@ -863,13 +865,7 @@ void BrokerNode::on_lease_renew(Socket& s, ClientConn& conn, const Frame& f) {
       ++renewed;
       if (store_) store_->log_lease(id, it->second.ttl);
     }
-    if (store_ && renewed > 0) {
-      {
-        obs::Profiler::ScopedRole fsync_role(obs::ThreadRole::kFsync);
-        store_->commit();
-        maybe_compact_locked();
-      }
-    }
+    if (renewed > 0) commit_locked();
   }
   ctr_lease_renewals_->inc(renewed);
   std::lock_guard wl(conn.write_mu);
@@ -885,23 +881,16 @@ void BrokerNode::begin_period() {
   std::vector<SubId> expired;
   for (auto it = leases_.begin(); it != leases_.end();) {
     if (--it->second.remaining == 0) {
-      const uint32_t local = it->first;
+      expired.push_back(it->second.id);
       it = leases_.erase(it);
-      for (const auto& os : home_.subs()) {
-        if (os.id.broker == cfg_.id && os.id.local == local) {
-          expired.push_back(os.id);
-          break;
-        }
-      }
     } else {
       ++it;
     }
   }
+  bool removed = false;
   for (const SubId& id : expired) {
-    home_.remove(id);
-    held_.remove(id);
-    subscribers_.erase(id.local);
-    pending_removals_.push_back(id);
+    if (!remove_subscription_locked(id)) continue;
+    removed = true;
     held_dirty_ = true;
     ctr_lease_expired_->inc();
     flight_.record(obs::FrKind::kLeaseExpired, id.local, id.broker);
@@ -909,15 +898,8 @@ void BrokerNode::begin_period() {
       log_.log(obs::LogLevel::kInfo, "lease", "subscription lease expired", 0,
                {{"local", id.local}, {"owner", id.broker}});
     }
-    if (store_) store_->log_unsubscribe(id);
   }
-  if (store_ && !expired.empty()) {
-    {
-      obs::Profiler::ScopedRole fsync_role(obs::ThreadRole::kFsync);
-      store_->commit();
-      maybe_compact_locked();
-    }
-  }
+  if (removed) commit_locked();
   // 2. Summary (shadow) leases: a peer that stopped announcing takes its
   // mirrored rows with it at the next rebuild.
   if (cfg_.summary_lease_periods > 0) {
@@ -953,35 +935,15 @@ std::optional<BrokerNode::PendingSend> BrokerNode::prepare_summary_send(uint32_t
     // A new period starts: reset per-period pairing state.
     std::fill(communicated_.begin(), communicated_.end(), 0);
   }
-  const size_t my_degree = cfg_.graph.degree(cfg_.id);
-  if (my_degree != iteration) return std::nullopt;
-
-  std::optional<BrokerId> target;
-  for (BrokerId nb : cfg_.graph.neighbors(cfg_.id)) {
-    if (cfg_.graph.degree(nb) < my_degree) continue;
-    if (communicated_[nb]) continue;
-    if (!target || cfg_.graph.degree(nb) < cfg_.graph.degree(*target)) target = nb;
-  }
+  if (cfg_.graph.degree(cfg_.id) != iteration) return std::nullopt;
+  const auto target = routing::send_target(cfg_.graph, cfg_.id, communicated_);
   if (!target) return std::nullopt;
   communicated_[*target] = 1;
 
   PendingSend send;
   send.to = *target;
-  send.removals = pending_removals_;
-  pending_removals_.clear();
-  send.image = core::extract_image(held_);
-  send.version = held_.version();
-  send.digest = core::image_digest(send.image);
-
-  SummaryMsg full;
-  full.from = cfg_.id;
-  full.merged_brokers = merged_brokers_;
-  full.epochs = merged_epochs_locked();
-  full.removals = send.removals;
-  full.summary = core::encode_summary(held_, wire_, epoch_);
-  full.version = send.version;
-  full.digest = send.digest;
-  auto full_payload = encode(full);
+  send.removals = std::exchange(pending_removals_, {});
+  auto full_payload = encode_full_locked(send);
 
   // Delta path: only against an acked base, never to a latched v3 peer,
   // and never past the periodic full-refresh backstop.
@@ -1000,7 +962,7 @@ std::optional<BrokerNode::PendingSend> BrokerNode::prepare_summary_send(uint32_t
     SummaryDeltaMsg dm;
     dm.from = cfg_.id;
     dm.merged_brokers = merged_brokers_;
-    dm.epochs = full.epochs;
+    dm.epochs = merged_epochs_locked();
     dm.removals = send.removals;
     dm.delta = core::encode_delta(core::diff_images(ls->second.image, send.image),
                                   cfg_.schema, wire_, hdr);
@@ -1019,6 +981,21 @@ std::optional<BrokerNode::PendingSend> BrokerNode::prepare_summary_send(uint32_t
   return send;
 }
 
+std::vector<std::byte> BrokerNode::encode_full_locked(PendingSend& send) const {
+  send.image = core::extract_image(held_);
+  send.version = held_.version();
+  send.digest = core::image_digest(send.image);
+  SummaryMsg full;
+  full.from = cfg_.id;
+  full.merged_brokers = merged_brokers_;
+  full.epochs = merged_epochs_locked();
+  full.removals = send.removals;
+  full.summary = core::encode_summary(held_, wire_, epoch_);
+  full.version = send.version;
+  full.digest = send.digest;
+  return encode(full);
+}
+
 void BrokerNode::record_last_sent_locked(PendingSend&& send, bool was_full) {
   LastSent& ls = last_sent_[send.to];
   const uint32_t streak = was_full ? 0 : ls.sends_since_full + 1;
@@ -1032,27 +1009,6 @@ std::vector<uint64_t> BrokerNode::merged_epochs_locked() const {
     es.push_back(b == cfg_.id ? epoch_ : peer_epochs_.epoch_of(b));
   }
   return es;
-}
-
-void BrokerNode::maybe_compact_locked() {
-  if (!store_ || store_->wal_records() < cfg_.snapshot_wal_threshold) return;
-  store::BrokerStore::SnapshotInput in;
-  in.next_local = next_local_;
-  in.subs = &home_.subs();
-  in.merged_brokers = merged_brokers_;
-  in.merged_epochs = merged_epochs_locked();
-  in.held = &held_;
-  in.leases.reserve(leases_.size());
-  for (const auto& [local, lease] : leases_) {
-    for (const auto& os : home_.subs()) {
-      if (os.id.broker == cfg_.id && os.id.local == local) {
-        in.leases.push_back({os.id, lease.ttl, lease.remaining});
-        break;
-      }
-    }
-  }
-  store_->write_snapshot(in);
-  ctr_compactions_->inc();
 }
 
 void BrokerNode::on_trigger(Socket& s, ClientConn& conn, const Frame& f) {
@@ -1081,20 +1037,9 @@ void BrokerNode::on_trigger(Socket& s, ClientConn& conn, const Frame& f) {
           {
             std::lock_guard lk(mu_);
             peer_wants_full_[send->to] = 1;
-            SummaryMsg full;
-            full.from = cfg_.id;
-            full.merged_brokers = merged_brokers_;
-            full.epochs = merged_epochs_locked();
-            full.removals = send->removals;
-            full.summary = core::encode_summary(held_, wire_, epoch_);
-            send->image = core::extract_image(held_);
-            send->version = held_.version();
-            send->digest = core::image_digest(send->image);
-            full.version = send->version;
-            full.digest = send->digest;
-            full_payload = encode(full);
+            full_payload = encode_full_locked(*send);
           }
-          send_to_peer_sync(send->to, MsgKind::kSummary, full_payload, MsgKind::kSummaryAck);
+          rpc_to_peer(send->to, MsgKind::kSummary, full_payload, {MsgKind::kSummaryAck});
           ctr_full_sends_->inc();
           ctr_full_bytes_->inc(full_payload.size());
           std::lock_guard lk(mu_);
@@ -1112,7 +1057,7 @@ void BrokerNode::on_trigger(Socket& s, ClientConn& conn, const Frame& f) {
           // peer's last_sent to that image — nothing more to record.
         }
       } else {
-        send_to_peer_sync(send->to, MsgKind::kSummary, send->payload, MsgKind::kSummaryAck);
+        rpc_to_peer(send->to, MsgKind::kSummary, send->payload, {MsgKind::kSummaryAck});
         ctr_full_sends_->inc();
         ctr_full_bytes_->inc(send->payload.size());
         std::lock_guard lk(mu_);
@@ -1149,28 +1094,24 @@ void BrokerNode::on_deliver(Socket& s, ClientConn& conn, const Frame& f) {
     record_span({msg.trace, cfg_.id, obs::Phase::kDeliver, msg.examined_at,
                  obs::now_us(), f.payload.size()});
   }
-  // Exact re-filter against the home table, then notify the owning client
-  // connections, grouped per connection.
+  notify_owners(msg.ids, msg.event, msg.trace);
+  std::lock_guard wl(conn.write_mu);
+  send_frame(s, MsgKind::kDeliverAck, {});
+}
+
+void BrokerNode::notify_owners(std::span<const SubId> ids, const model::Event& event,
+                               uint64_t trace) {
   std::map<std::shared_ptr<ClientConn>, std::vector<SubId>> per_conn;
   {
     std::lock_guard lk(mu_);
-    for (const SubId& id : msg.ids) {
-      if (id.broker != cfg_.id) continue;
-      for (const auto& os : home_.subs()) {
-        if (os.id == id && os.sub.matches(msg.event)) {
-          auto it = subscribers_.find(id.local);
-          if (it != subscribers_.end()) per_conn[it->second].push_back(id);
-          break;
-        }
-      }
+    for (const SubId& id : home_.refilter(ids, event)) {
+      auto it = subscribers_.find(id.local);
+      if (it != subscribers_.end()) per_conn[it->second].push_back(id);
     }
   }
-  for (auto& [client, ids] : per_conn) {
-    enqueue_notify(client, encode(NotifyMsg{std::move(ids), msg.event}, cfg_.schema),
-                   msg.trace);
+  for (auto& [client, cids] : per_conn) {
+    enqueue_notify(client, encode(NotifyMsg{std::move(cids), event}, cfg_.schema), trace);
   }
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kDeliverAck, {});
 }
 
 namespace {
@@ -1403,45 +1344,20 @@ void BrokerNode::walk_step(EventMsg msg, size_t frame_bytes) {
                  obs::now_us(), matched.size()});
   }
 
-  // Owners already in the incoming BROCLI were handled upstream.
-  std::map<BrokerId, std::vector<SubId>> fresh;
-  for (const SubId& id : matched) {
-    if (!bitmap_get(msg.brocli, id.broker)) fresh[id.broker].push_back(id);
-  }
-  for (BrokerId b : merged) bitmap_set(msg.brocli, b);
-
-  for (auto& [owner, ids] : fresh) {
-    const size_t id_count = ids.size();
-    const DeliverMsg dm{cfg_.id, std::move(ids), msg.event, trace};
+  for (auto& [owner, ids] : routing::examine(matched, merged, msg.brocli)) {
     if (owner == cfg_.id) {
-      // Local delivery without a network hop: reuse the deliver path
-      // in-process.
-      std::map<std::shared_ptr<ClientConn>, std::vector<SubId>> per_conn;
-      {
-        std::lock_guard lk(mu_);
-        for (const SubId& id : dm.ids) {
-          for (const auto& os : home_.subs()) {
-            if (os.id == id && os.sub.matches(dm.event)) {
-              auto it = subscribers_.find(id.local);
-              if (it != subscribers_.end()) per_conn[it->second].push_back(id);
-              break;
-            }
-          }
-        }
-      }
-      for (auto& [client, cids] : per_conn) {
-        enqueue_notify(client, encode(NotifyMsg{std::move(cids), dm.event}, cfg_.schema),
-                       trace);
-      }
+      // Local delivery without a network hop: the deliver path in-process.
+      notify_owners(ids, msg.event, trace);
       if (trace) {
         record_span({trace, cfg_.id, obs::Phase::kDeliver, cfg_.id,
-                     obs::now_us(), id_count});
+                     obs::now_us(), ids.size()});
       }
     } else {
-      auto payload = encode(dm, cfg_.schema);
+      auto payload =
+          encode(DeliverMsg{cfg_.id, std::move(ids), msg.event, trace}, cfg_.schema);
       const uint64_t frame_size = payload.size();
       try {
-        send_to_peer_sync(owner, MsgKind::kDeliver, payload, MsgKind::kDeliverAck, {}, trace);
+        rpc_to_peer(owner, MsgKind::kDeliver, payload, {MsgKind::kDeliverAck}, {}, trace);
         walk_metrics_.delivery_hops->inc();
         if (trace) {
           record_span({trace, cfg_.id, obs::Phase::kDeliver, owner,
@@ -1461,20 +1377,15 @@ void BrokerNode::walk_step(EventMsg msg, size_t frame_bytes) {
   // subscribers are unreachable too) and the walk degrades to the
   // next-highest-degree live broker, so one dead broker cannot stall a
   // publish or strand the remaining subscribers.
-  while (!bitmap_all(msg.brocli, cfg_.graph.size())) {
-    std::optional<BrokerId> next;
-    size_t remaining = 0;
-    for (BrokerId b = 0; b < cfg_.graph.size(); ++b) {
-      if (bitmap_get(msg.brocli, b)) continue;
-      ++remaining;
-      if (!next || cfg_.graph.degree(b) > cfg_.graph.degree(*next)) next = b;
-    }
+  const size_t n = cfg_.graph.size();
+  while (const auto next = routing::next_hop(cfg_.graph, msg.brocli)) {
     // The peer acks kEvent only after finishing its own downstream walk,
     // so the ack deadline scales with the work left, not one io_timeout.
+    const size_t remaining = n - routing::bitmap_count(msg.brocli, n);
     const auto ack_budget = cfg_.rpc.io_timeout * static_cast<int>(remaining + 1);
     const auto payload = encode(msg, cfg_.schema);
     try {
-      send_to_peer_sync(*next, MsgKind::kEvent, payload, MsgKind::kEventAck, ack_budget, trace);
+      rpc_to_peer(*next, MsgKind::kEvent, payload, {MsgKind::kEventAck}, ack_budget, trace);
       walk_metrics_.forward_hops->inc();
       if (trace) {
         record_span({trace, cfg_.id, obs::Phase::kForward, *next,
@@ -1485,7 +1396,7 @@ void BrokerNode::walk_step(EventMsg msg, size_t frame_bytes) {
       // Unexamined re-select: the hop is marked in BROCLI without its
       // subscriptions having been examined, and the walk degrades.
       walk_metrics_.reselects->inc();
-      bitmap_set(msg.brocli, *next);
+      routing::bitmap_set(msg.brocli, *next);
     }
   }
 }
@@ -1529,8 +1440,8 @@ void BrokerNode::flush_pending_deliveries() {
                      obs::now_us(), pd.payload.size()});
       }
       try {
-        send_to_peer_sync(pd.owner, MsgKind::kDeliver, pd.payload, MsgKind::kDeliverAck, {},
-                          pd.trace);
+        rpc_to_peer(pd.owner, MsgKind::kDeliver, pd.payload, {MsgKind::kDeliverAck}, {},
+                    pd.trace);
         continue;
       } catch (const PeerUnreachable&) {
         down[pd.owner] = 1;
@@ -1544,13 +1455,6 @@ void BrokerNode::flush_pending_deliveries() {
       ctr_drop_ttl_->inc();
     }
   }
-}
-
-void BrokerNode::send_to_peer_sync(BrokerId peer, MsgKind kind,
-                                   std::span<const std::byte> payload, MsgKind ack_kind,
-                                   std::optional<std::chrono::milliseconds> ack_timeout,
-                                   uint64_t trace) {
-  rpc_to_peer(peer, kind, payload, {ack_kind}, ack_timeout, trace);
 }
 
 Frame BrokerNode::rpc_to_peer(BrokerId peer, MsgKind kind,

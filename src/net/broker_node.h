@@ -7,11 +7,14 @@
 // Algorithm 2 runs as externally clocked rounds: a controller (see
 // cluster.h) sends kTrigger(iteration) to every node; a node whose degree
 // equals the iteration performs its single summary send synchronously
-// (connect -> kSummary -> kSummaryAck) before acknowledging the trigger, so
-// a round barrier at the controller yields exactly the paper's iteration
-// semantics. Unlike the bandwidth-measured sim layer, the node sends its
-// full held summary each period (a state-based, self-healing variant;
-// merging is idempotent so this only trades bytes for robustness).
+// (connect -> kSummary/kSummaryDelta -> ack) before acknowledging the
+// trigger, so a round barrier at the controller yields exactly the paper's
+// iteration semantics. Unlike the bandwidth-measured sim layer, each
+// period's announcement describes the node's whole held image: a row delta
+// against the image the neighbor last acked, or the full image when the
+// neighbor holds no such base, when the delta would not pay for itself and
+// on the periodic refresh (a state-based, self-healing variant; merging is
+// idempotent).
 //
 // Algorithm 3 runs fully in-band: kPublish starts the BROCLI walk at the
 // client's broker; each broker matches, sends kDeliver to fresh owners,
@@ -19,6 +22,14 @@
 // bitmap. Event forwarding is synchronous end-to-end, so a client's
 // publish() returns only after the whole walk (and all deliveries) have
 // completed — which makes the distributed system deterministic to test.
+//
+// The routing decisions are not this file's: the BROCLI step
+// (routing::examine, routing::next_hop), Algorithm 2's send target
+// (routing::send_target), the Merged_Brokers union (routing::merge_brokers)
+// and the owner's exact re-filter (core::NaiveMatcher::refilter) are the
+// same functions SimSystem calls. Cluster.TcpMatchesSimSystemOnRandomWorkload
+// replays one workload through both and compares delivered sets, walk
+// order and subsum_walk_* counts.
 //
 // Locking: `mu_` guards all broker state and is NEVER held across a
 // network call; peer RPCs therefore cannot deadlock (a blocked walk thread
@@ -337,22 +348,21 @@ class BrokerNode {
   /// carried the event; it sizes the recv span.
   void walk_step(EventMsg msg, size_t frame_bytes);
 
-  /// Connects, sends, and awaits the ack, all under RpcPolicy deadlines,
-  /// retrying with backoff. Throws PeerUnreachable once the retry budget
-  /// is spent. `ack_timeout` overrides io_timeout for the ack wait (the
-  /// kEvent ack covers the peer's whole downstream walk). Each successful
-  /// round-trip lands in the per-peer latency histogram; each failed
-  /// attempt bumps the per-peer retry counter and, when `trace` is
-  /// nonzero, records a retry span.
-  void send_to_peer_sync(overlay::BrokerId peer, MsgKind kind,
-                         std::span<const std::byte> payload, MsgKind ack_kind,
-                         std::optional<std::chrono::milliseconds> ack_timeout = {},
-                         uint64_t trace = 0);
+  /// Owner side of a delivery (kDeliver, or the walk's local branch):
+  /// re-filters `ids` against the exact home table and queues one kNotify
+  /// per subscriber connection.
+  void notify_owners(std::span<const model::SubId> ids, const model::Event& event,
+                     uint64_t trace);
 
-  /// Generalized peer RPC: like send_to_peer_sync but returns the ack
-  /// frame, and any kind in `acceptable_acks` completes the call instead
-  /// of triggering a retry. Lets the delta path treat a peer's kError
-  /// (v3: unknown frame kind) as a negotiation signal rather than a fault.
+  /// Connects, sends, and awaits an ack of a kind in `acceptable_acks`,
+  /// all under RpcPolicy deadlines, retrying with backoff; returns the ack
+  /// frame. Throws PeerUnreachable once the retry budget is spent.
+  /// `ack_timeout` overrides io_timeout for the ack wait (the kEvent ack
+  /// covers the peer's whole downstream walk). Each successful round-trip
+  /// lands in the per-peer latency histogram; each failed attempt bumps
+  /// the per-peer retry counter and, when `trace` is nonzero, records a
+  /// retry span. Accepting kError lets the delta path treat a v3 peer's
+  /// rejection as a negotiation signal rather than a fault.
   Frame rpc_to_peer(overlay::BrokerId peer, MsgKind kind,
                     std::span<const std::byte> payload,
                     std::initializer_list<MsgKind> acceptable_acks,
@@ -362,6 +372,27 @@ class BrokerNode {
   /// Shared full-image ingest for kSummary frames and kSummarySync acks:
   /// epoch anti-entropy, shadow refresh, merge, Merged_Brokers union.
   void ingest_full_summary(SummaryMsg msg);
+
+  /// Epoch anti-entropy for one announcement (full or delta) from `from`
+  /// stamped `epoch`, with `merged`/`epochs` its Merged_Brokers set and the
+  /// aligned epochs: counts a stale sender; otherwise drops the held rows
+  /// of `from` and of every listed broker seen at a newer incarnation.
+  /// Returns the sender's check. Caller holds mu_.
+  routing::EpochCheck check_epochs_locked(overlay::BrokerId from, uint64_t epoch,
+                                          const std::vector<overlay::BrokerId>& merged,
+                                          const std::vector<uint64_t>& epochs);
+
+  /// Removes one of this broker's own subscriptions everywhere (home
+  /// table, held summary, subscriber, lease), queues the removal for the
+  /// neighbors and appends its WAL record. An id this broker does not own
+  /// or does not hold is ignored: returns false, nothing changes. Caller
+  /// holds mu_ and commits.
+  bool remove_subscription_locked(model::SubId id);
+
+  /// Makes the WAL records appended under mu_ durable (fsync, attributed
+  /// to the fsync thread role), then compacts to a snapshot once the WAL
+  /// has grown past the threshold. Caller holds mu_; no-op when ephemeral.
+  void commit_locked();
 
   /// Period-boundary soft-state maintenance, run at trigger iteration 1:
   /// decrements and expires subscription leases, ages out silent peers'
@@ -402,12 +433,12 @@ class BrokerNode {
   };
   std::optional<PendingSend> prepare_summary_send(uint32_t iteration);
 
+  /// Encodes a full kSummary of held_ carrying `send.removals`, and records
+  /// the announced image, version and digest in `send`. Caller holds mu_.
+  std::vector<std::byte> encode_full_locked(PendingSend& send) const;
+
   /// Installs `send`'s image as the peer's delta base. Caller holds mu_.
   void record_last_sent_locked(PendingSend&& send, bool was_full);
-
-  /// Compacts to a snapshot when the WAL has grown past the threshold.
-  /// Caller must hold mu_. No-op for ephemeral brokers.
-  void maybe_compact_locked();
 
   /// Epochs aligned with merged_brokers_ (own id -> epoch_). Under mu_.
   [[nodiscard]] std::vector<uint64_t> merged_epochs_locked() const;
@@ -444,6 +475,7 @@ class BrokerNode {
   struct Lease {
     uint32_t ttl = 0;        // periods granted per renewal
     uint32_t remaining = 0;  // periods left; expires when it hits 0
+    model::SubId id;         // the leased subscription
   };
 
   mutable std::mutex mu_;

@@ -439,23 +439,4 @@ TraceReplyMsg decode_trace_reply(std::span<const std::byte> b) {
   return m;
 }
 
-std::vector<std::byte> make_bitmap(size_t bits) {
-  return std::vector<std::byte>((bits + 7) / 8, std::byte{0});
-}
-
-bool bitmap_get(std::span<const std::byte> bm, size_t i) {
-  return (static_cast<uint8_t>(bm[i / 8]) >> (i % 8)) & 1;
-}
-
-void bitmap_set(std::span<std::byte> bm, size_t i) {
-  bm[i / 8] |= std::byte{static_cast<uint8_t>(1u << (i % 8))};
-}
-
-bool bitmap_all(std::span<const std::byte> bm, size_t bits) {
-  for (size_t i = 0; i < bits; ++i) {
-    if (!bitmap_get(bm, i)) return false;
-  }
-  return true;
-}
-
 }  // namespace subsum::net

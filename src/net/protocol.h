@@ -115,7 +115,7 @@ struct LeaseRenewAckMsg {
 struct EventMsg {
   overlay::BrokerId origin = 0;
   uint64_t seq = 0;                 // publisher-assigned, for tie rotation
-  std::vector<std::byte> brocli;    // bitmap, one bit per broker
+  std::vector<std::byte> brocli;    // bitmap, one bit per broker (routing/event_router.h)
   model::Event event;
   /// Trace id minted at publish (PROTOCOL v3). Encoded as a trailing
   /// field, so v2 frames decode with trace 0 and v2 peers ignore it.
@@ -225,12 +225,5 @@ ProfileReplyMsg decode_profile_reply(std::span<const std::byte> b);
 
 std::vector<std::byte> encode(const TraceReplyMsg& m);
 TraceReplyMsg decode_trace_reply(std::span<const std::byte> b);
-
-// --- BROCLI bitmap helpers ---------------------------------------------------
-
-std::vector<std::byte> make_bitmap(size_t bits);
-bool bitmap_get(std::span<const std::byte> bm, size_t i);
-void bitmap_set(std::span<std::byte> bm, size_t i);
-bool bitmap_all(std::span<const std::byte> bm, size_t bits);
 
 }  // namespace subsum::net

@@ -1,7 +1,6 @@
 #include "routing/event_router.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 namespace subsum::routing {
@@ -13,6 +12,62 @@ std::vector<model::SubId> RouteResult::matched_ids() const {
   for (const auto& d : deliveries) out.insert(out.end(), d.ids.begin(), d.ids.end());
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::vector<std::byte> make_bitmap(size_t bits) {
+  return std::vector<std::byte>((bits + 7) / 8, std::byte{0});
+}
+
+bool bitmap_get(std::span<const std::byte> bm, size_t i) {
+  return (static_cast<uint8_t>(bm[i / 8]) >> (i % 8)) & 1;
+}
+
+void bitmap_set(std::span<std::byte> bm, size_t i) {
+  bm[i / 8] |= std::byte{static_cast<uint8_t>(1u << (i % 8))};
+}
+
+size_t bitmap_count(std::span<const std::byte> bm, size_t bits) {
+  size_t n = 0;
+  for (size_t i = 0; i < bits; ++i) n += bitmap_get(bm, i);
+  return n;
+}
+
+std::map<BrokerId, std::vector<model::SubId>> examine(std::span<const model::SubId> matched,
+                                                      std::span<const BrokerId> merged_brokers,
+                                                      std::span<std::byte> brocli) {
+  std::map<BrokerId, std::vector<model::SubId>> by_owner;
+  for (const auto& id : matched) {
+    if (!bitmap_get(brocli, id.broker)) by_owner[id.broker].push_back(id);
+  }
+  for (BrokerId b : merged_brokers) bitmap_set(brocli, b);
+  return by_owner;
+}
+
+std::optional<BrokerId> next_hop(const overlay::Graph& g, std::span<const std::byte> brocli,
+                                 const RouterOptions& opts,
+                                 std::span<const std::vector<BrokerId>> merged_brokers) {
+  const auto score_of = [&](BrokerId b) -> int {
+    if (opts.strategy == ForwardStrategy::kLargestCoverage) {
+      int fresh = 0;
+      for (BrokerId x : merged_brokers[b]) fresh += !bitmap_get(brocli, x);
+      return fresh;
+    }
+    return opts.virtual_degrees ? (*opts.virtual_degrees)[b] : static_cast<int>(g.degree(b));
+  };
+  std::optional<BrokerId> next;
+  size_t ties = 0;
+  for (BrokerId b = 0; b < g.size(); ++b) {
+    if (bitmap_get(brocli, b)) continue;
+    if (!next || score_of(b) > score_of(*next)) {
+      next = b;
+      ties = 1;
+    } else if (opts.tie_salt != 0 && score_of(b) == score_of(*next)) {
+      // Reservoir-style rotation among equal-score candidates.
+      ++ties;
+      if ((opts.tie_salt % ties) == 0) next = b;
+    }
+  }
+  return next;
 }
 
 RouteResult route_event(const overlay::Graph& g, const PropagationResult& state,
@@ -32,30 +87,9 @@ RouteResult route_event(const overlay::Graph& g, const PropagationResult& state,
     return !opts.down.empty() && opts.down[b];
   };
   if (is_down(origin)) throw std::invalid_argument("origin broker is down");
-  const auto degree_of = [&](BrokerId b) -> int {
-    return opts.virtual_degrees ? (*opts.virtual_degrees)[b]
-                                : static_cast<int>(g.degree(b));
-  };
-  // Score of forwarding to b under the configured strategy; brocli is
-  // captured by reference below so kLargestCoverage sees the current walk
-  // state ("how many unexamined brokers would b's knowledge add").
-  std::vector<char> brocli(n, 0);
-  const auto score_of = [&](BrokerId b) -> int {
-    if (opts.strategy == ForwardStrategy::kHighestDegree) return degree_of(b);
-    int fresh = 0;
-    for (BrokerId x : state.merged_brokers[b]) fresh += !brocli[x];
-    return fresh;
-  };
 
   RouteResult r;
-  size_t brocli_count = 0;
-  const auto add_to_brocli = [&](BrokerId b) {
-    if (!brocli[b]) {
-      brocli[b] = 1;
-      ++brocli_count;
-    }
-  };
-
+  std::vector<std::byte> brocli = make_bitmap(n);
   BrokerId current = origin;
   // Virtual clock for span timestamps: one tick per span, so equal walks
   // produce byte-identical span logs (see RouteResult::spans).
@@ -76,13 +110,7 @@ RouteResult route_event(const overlay::Graph& g, const PropagationResult& state,
       matched_buf = core::match(state.held[current], event);
       matched = matched_buf;
     }
-
-    // Notify owners of fresh matches: owners already in the incoming BROCLI
-    // were examined (and notified) by an earlier broker.
-    std::map<BrokerId, std::vector<model::SubId>> by_owner;
-    for (const auto& id : matched) {
-      if (!brocli[id.broker]) by_owner[id.broker].push_back(id);
-    }
+    auto by_owner = examine(matched, state.merged_brokers[current], brocli);
     span(obs::Phase::kMatch, obs::Span::kNoPeer, matched.size());
     for (auto& [owner, ids] : by_owner) {
       const size_t id_count = ids.size();
@@ -98,36 +126,18 @@ RouteResult route_event(const overlay::Graph& g, const PropagationResult& state,
       if (owner != current) ++r.delivery_hops;  // local delivery is free
     }
 
-    // Step 2: update BROCLI with this broker's Merged_Brokers set.
-    for (BrokerId b : state.merged_brokers[current]) add_to_brocli(b);
-
-    // Step 4: continue while some broker's subscriptions are unexamined.
-    // A down broker chosen as the best hop is skipped exactly the way the
+    // A down broker chosen as the next hop is skipped exactly the way the
     // TCP walk degrades: marked in BROCLI unexamined, no forward hop, and
     // the selection repeats among the survivors.
     std::optional<BrokerId> forward;
-    while (brocli_count < n) {
-      std::optional<BrokerId> next;
-      size_t ties = 0;
-      for (BrokerId b = 0; b < n; ++b) {
-        if (brocli[b]) continue;
-        if (!next || score_of(b) > score_of(*next)) {
-          next = b;
-          ties = 1;
-        } else if (opts.tie_salt != 0 && score_of(b) == score_of(*next)) {
-          // Reservoir-style rotation among equal-degree candidates.
-          ++ties;
-          if ((opts.tie_salt % ties) == 0) next = b;
-        }
+    while (const auto next = next_hop(g, brocli, opts, state.merged_brokers)) {
+      if (!is_down(*next)) {
+        forward = next;
+        break;
       }
-      if (is_down(*next)) {
-        add_to_brocli(*next);
-        r.skipped.push_back(*next);
-        span(obs::Phase::kRetry, *next, 0);
-        continue;
-      }
-      forward = next;
-      break;
+      bitmap_set(brocli, *next);
+      r.skipped.push_back(*next);
+      span(obs::Phase::kRetry, *next, 0);
     }
     if (!forward) break;
     span(obs::Phase::kForward, *forward, 0);

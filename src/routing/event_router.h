@@ -18,10 +18,17 @@
 // rule can use capped virtual degrees so the walk does not always hammer
 // the same maximum-degree brokers; ties are rotated deterministically per
 // event.
+//
+// The per-broker step (examine, next_hop) is transport-agnostic: the
+// in-process route_event below and net::BrokerNode's TCP walk both call
+// it on the same BROCLI bitmap the wire carries.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/matcher.h"
@@ -131,6 +138,33 @@ struct RouterOptions {
   /// with salt 0) when SystemConfig::trace is on.
   uint64_t trace_id = 0;
 };
+
+// --- BROCLI bitmap: one bit per broker, the event's wire representation ----
+
+std::vector<std::byte> make_bitmap(size_t bits);
+bool bitmap_get(std::span<const std::byte> bm, size_t i);
+void bitmap_set(std::span<std::byte> bm, size_t i);
+/// Set bits among the first `bits`.
+size_t bitmap_count(std::span<const std::byte> bm, size_t bits);
+
+/// Algorithm 3 steps 1-2 at one broker, after it matched the event against
+/// its merged summary: groups `matched` by owner (c1), keeping only owners
+/// not in the incoming BROCLI (an earlier broker already examined and
+/// notified them), then adds the broker's Merged_Brokers set to BROCLI.
+std::map<overlay::BrokerId, std::vector<model::SubId>> examine(
+    std::span<const model::SubId> matched, std::span<const overlay::BrokerId> merged_brokers,
+    std::span<std::byte> brocli);
+
+/// Algorithm 3 step 4: the broker to forward to — the one not in BROCLI
+/// with the highest (virtual) degree, or under kLargestCoverage the one
+/// whose Merged_Brokers set (`merged_brokers`, one per broker, which that
+/// strategy requires) adds the most unexamined brokers; ties go to the
+/// smallest id unless opts.tie_salt rotates them. nullopt once BROCLI holds
+/// every broker. Down brokers are the caller's business (opts.down is not
+/// read).
+std::optional<overlay::BrokerId> next_hop(
+    const overlay::Graph& g, std::span<const std::byte> brocli, const RouterOptions& opts = {},
+    std::span<const std::vector<overlay::BrokerId>> merged_brokers = {});
 
 /// Routes one event published at `origin` through the post-propagation
 /// state. Complexity: at most n broker visits; each visit runs Algorithm 1

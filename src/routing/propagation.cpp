@@ -1,7 +1,6 @@
 #include "routing/propagation.h"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 namespace subsum::routing {
@@ -12,6 +11,28 @@ size_t PropagationResult::total_bytes() const noexcept {
   size_t n = 0;
   for (const auto& s : sends) n += s.bytes;
   return n;
+}
+
+std::optional<BrokerId> send_target(const overlay::Graph& g, BrokerId b,
+                                    std::span<const char> communicated,
+                                    NeighborPreference pref) {
+  std::optional<BrokerId> target;
+  for (BrokerId nb : g.neighbors(b)) {  // sorted: ties keep the smaller id
+    if (g.degree(nb) < g.degree(b) || communicated[nb]) continue;
+    const bool better = !target || (pref == NeighborPreference::kSmallestDegree
+                                         ? g.degree(nb) < g.degree(*target)
+                                         : g.degree(nb) > g.degree(*target));
+    if (better) target = nb;
+  }
+  return target;
+}
+
+void merge_brokers(std::vector<BrokerId>& merged, std::vector<BrokerId> other) {
+  std::sort(other.begin(), other.end());
+  std::vector<BrokerId> out;
+  std::set_union(merged.begin(), merged.end(), other.begin(), other.end(),
+                 std::back_inserter(out));
+  merged = std::move(out);
 }
 
 PropagationResult propagate(const overlay::Graph& g, const std::vector<core::BrokerSummary>& own,
@@ -26,10 +47,10 @@ PropagationResult propagate(const overlay::Graph& g, const std::vector<core::Bro
   r.merged_brokers.resize(n);
   for (BrokerId b = 0; b < n; ++b) r.merged_brokers[b] = {b};
 
-  // communicated[b] = neighbors b has exchanged a summary with (either
+  // communicated[b][x]: b has exchanged a summary with x (either
   // direction), per "a neighbor with which it has not communicated in any
   // of the previous iterations".
-  std::vector<std::set<BrokerId>> communicated(n);
+  std::vector<std::vector<char>> communicated(n, std::vector<char>(n, 0));
 
   struct Pending {
     BrokerId from, to;
@@ -38,13 +59,10 @@ PropagationResult propagate(const overlay::Graph& g, const std::vector<core::Bro
   };
 
   const auto deliver = [&](const Pending& p) {
-    communicated[p.from].insert(p.to);
-    communicated[p.to].insert(p.from);
+    communicated[p.from][p.to] = 1;
+    communicated[p.to][p.from] = 1;
     r.held[p.to].merge(p.summary);
-    std::vector<BrokerId> merged;
-    std::set_union(r.merged_brokers[p.to].begin(), r.merged_brokers[p.to].end(),
-                   p.merged.begin(), p.merged.end(), std::back_inserter(merged));
-    r.merged_brokers[p.to] = std::move(merged);
+    merge_brokers(r.merged_brokers[p.to], p.merged);
   };
 
   const size_t max_degree = g.max_degree();
@@ -52,20 +70,7 @@ PropagationResult propagate(const overlay::Graph& g, const std::vector<core::Bro
     std::vector<Pending> pending;
     for (BrokerId b = 0; b < n; ++b) {
       if (g.degree(b) != it) continue;
-      // Select an eligible neighbor (degree >= own, not yet communicated
-      // with), by the configured degree preference; ties break toward the
-      // smaller id (neighbors are sorted).
-      std::optional<BrokerId> target;
-      for (BrokerId nb : g.neighbors(b)) {
-        if (g.degree(nb) < it) continue;
-        if (communicated[b].contains(nb)) continue;
-        const bool better =
-            !target ||
-            (opts.preference == NeighborPreference::kSmallestDegree
-                 ? g.degree(nb) < g.degree(*target)
-                 : g.degree(nb) > g.degree(*target));
-        if (better) target = nb;
-      }
+      const auto target = send_target(g, b, communicated[b], opts.preference);
       if (!target) continue;  // knowledge sink: nothing to send
       Pending p{b, *target, r.held[b], r.merged_brokers[b]};
       r.sends.push_back({static_cast<int>(it), b, *target,

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/serialize.h"
@@ -69,6 +70,20 @@ struct PropagationOptions {
   /// Both satisfy the paper's figure-7 walkthrough.
   bool immediate_delivery = false;
 };
+
+/// Algorithm 2's send target for broker `b` in the iteration equal to its
+/// degree: a neighbor of equal or higher degree that b has not yet
+/// communicated with this period (`communicated`, one flag per broker id),
+/// chosen by `pref`; ties go to the smaller id. nullopt for a knowledge
+/// sink. The sim's propagate() and net::BrokerNode both call this.
+std::optional<overlay::BrokerId> send_target(
+    const overlay::Graph& g, overlay::BrokerId b, std::span<const char> communicated,
+    NeighborPreference pref = NeighborPreference::kSmallestDegree);
+
+/// Merged_Brokers ∪= `other`. `merged` is sorted; `other` may arrive in
+/// any order (it can come off the wire).
+void merge_brokers(std::vector<overlay::BrokerId>& merged,
+                   std::vector<overlay::BrokerId> other);
 
 /// Runs one propagation phase. `own[b]` is broker b's (delta) summary for
 /// this period; all summaries must share one schema. The WireConfig is used

@@ -94,12 +94,9 @@ void SimSystem::unsubscribe(SubId id) {
     const std::vector<SubId> orphans = std::move(it->second);
     covered_by_.erase(it);
     for (const SubId& orphan : orphans) {
-      for (const auto& os : home_[orphan.broker].subs()) {
-        if (os.id == orphan) {
-          covered_by_.emplace(orphan, std::vector<SubId>{});
-          dissolve(orphan.broker, os.sub, orphan);
-          break;
-        }
+      if (const auto* os = home_[orphan.broker].find(orphan)) {
+        covered_by_.emplace(orphan, std::vector<SubId>{});
+        dissolve(orphan.broker, os->sub, orphan);
       }
     }
   } else if (cfg_.combine_subsumption) {
@@ -154,11 +151,7 @@ routing::PropagationResult SimSystem::run_propagation_period() {
   // so re-merging a broker's own delta (already in held) is harmless.
   for (BrokerId b = 0; b < broker_count(); ++b) {
     state_.held[b].merge(period.held[b]);
-    std::vector<BrokerId> merged;
-    std::set_union(state_.merged_brokers[b].begin(), state_.merged_brokers[b].end(),
-                   period.merged_brokers[b].begin(), period.merged_brokers[b].end(),
-                   std::back_inserter(merged));
-    state_.merged_brokers[b] = std::move(merged);
+    routing::merge_brokers(state_.merged_brokers[b], period.merged_brokers[b]);
   }
   delta_.assign(broker_count(), core::BrokerSummary(cfg_.schema, cfg_.policy, cfg_.arith_mode));
   // Summary-quality exports, refreshed while the merged images are fresh:
@@ -256,23 +249,12 @@ SimSystem::PublishOutcome SimSystem::publish_one(BrokerId origin, const model::E
     }
     // Exact re-filtering at the owner: SACS summarization may have produced
     // false positives; the home table is authoritative.
-    if (cfg_.combine_subsumption) {
-      // The event reached this broker because a propagated root matched;
-      // fan out to every local subscription it satisfies, including the
-      // covered ones that never entered the summaries.
-      for (const auto& os : home_[d.owner].subs()) {
-        if (os.sub.matches(event)) out.delivered.push_back(os.id);
-      }
-    } else {
-      for (const SubId& id : d.ids) {
-        for (const auto& os : home_[d.owner].subs()) {
-          if (os.id == id && os.sub.matches(event)) {
-            out.delivered.push_back(id);
-            break;
-          }
-        }
-      }
-    }
+    // The event reached a combine_subsumption broker because a propagated
+    // root matched; fan out to every local subscription it satisfies,
+    // including the covered ones that never entered the summaries.
+    const auto exact = cfg_.combine_subsumption ? home_[d.owner].match(event)
+                                                : home_[d.owner].refilter(d.ids, event);
+    out.delivered.insert(out.delivered.end(), exact.begin(), exact.end());
   }
   std::sort(out.candidates.begin(), out.candidates.end());
   std::sort(out.delivered.begin(), out.delivered.end());

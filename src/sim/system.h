@@ -144,11 +144,6 @@ class SimSystem {
   /// Post-propagation routing state (held summaries + Merged_Brokers).
   [[nodiscard]] const routing::PropagationResult& state() const noexcept { return state_; }
 
-  /// The home subscription table of one broker.
-  [[nodiscard]] const core::NaiveMatcher& home_subs(overlay::BrokerId b) const {
-    return home_.at(b);
-  }
-
   /// Total bytes of summary structures held across all brokers (fig 11's
   /// storage metric for our approach).
   [[nodiscard]] size_t summary_storage_bytes() const;

@@ -8,42 +8,6 @@
 
 namespace subsum::stats {
 
-Counters::Handle* Counters::handle(std::string_view name) {
-  std::lock_guard lk(mu_);
-  const auto it = counts_.find(name);
-  if (it != counts_.end()) return it->second.get();
-  return counts_.emplace(std::string(name), std::make_unique<Handle>()).first->second.get();
-}
-
-void Counters::inc(std::string_view name, uint64_t by) {
-  std::lock_guard lk(mu_);
-  const auto it = counts_.find(name);  // transparent: no temporary string
-  if (it != counts_.end()) {
-    it->second->inc(by);
-    return;
-  }
-  counts_.emplace(std::string(name), std::make_unique<Handle>()).first->second->inc(by);
-}
-
-uint64_t Counters::value(std::string_view name) const {
-  std::lock_guard lk(mu_);
-  const auto it = counts_.find(name);
-  return it == counts_.end() ? 0 : it->second->value();
-}
-
-std::map<std::string, uint64_t> Counters::snapshot() const {
-  std::lock_guard lk(mu_);
-  std::map<std::string, uint64_t> out;
-  for (const auto& [name, h] : counts_) out.emplace(name, h->value());
-  return out;
-}
-
-std::string Counters::to_string() const {
-  std::ostringstream os;
-  for (const auto& [name, v] : snapshot()) os << name << "=" << v << "\n";
-  return os.str();
-}
-
 void Series::add(double x) noexcept {
   if (n_ == 0) {
     min_ = max_ = x;

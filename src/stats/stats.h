@@ -2,57 +2,12 @@
 // paper's rows and series.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace subsum::stats {
-
-/// Thread-safe named event counters. Reading a counter that was never
-/// incremented yields 0 — callers need not pre-register names.
-///
-/// Two speeds: inc(name) takes the lock for a transparent (no temporary
-/// string) lookup; a pre-registered Handle skips both the lock and the
-/// lookup — one relaxed atomic add — which is what per-event hot loops
-/// should use.
-class Counters {
- public:
-  /// Stable handle to one named counter (valid for the Counters' lifetime).
-  class Handle {
-   public:
-    void inc(uint64_t by = 1) noexcept { v_.fetch_add(by, std::memory_order_relaxed); }
-    [[nodiscard]] uint64_t value() const noexcept {
-      return v_.load(std::memory_order_relaxed);
-    }
-
-   private:
-    friend class Counters;
-    std::atomic<uint64_t> v_{0};
-  };
-
-  /// Get-or-register; repeated calls with the same name return the same
-  /// handle.
-  Handle* handle(std::string_view name);
-
-  void inc(std::string_view name, uint64_t by = 1);
-  [[nodiscard]] uint64_t value(std::string_view name) const;
-  [[nodiscard]] std::map<std::string, uint64_t> snapshot() const;
-  /// "name=value" lines, sorted by name; for logs and test failures.
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  // std::less<> makes find() transparent: a string_view probe never
-  // constructs a std::string. Nodes are stable, so handles stay valid.
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Handle>, std::less<>> counts_;
-};
 
 /// Online accumulator: count / mean / min / max / stddev. Uses Welford's
 /// recurrence, so the variance stays accurate for series whose mean is

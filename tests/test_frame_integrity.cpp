@@ -99,8 +99,8 @@ std::vector<std::pair<MsgKind, std::vector<std::byte>>> valid_payloads(
   EventMsg em;
   em.origin = 1;
   em.seq = 42;
-  em.brocli = make_bitmap(brokers);
-  bitmap_set(em.brocli, 1);
+  em.brocli = routing::make_bitmap(brokers);
+  routing::bitmap_set(em.brocli, 1);
   em.event = event;
   out.emplace_back(MsgKind::kEvent, encode(em, s));
   out.emplace_back(MsgKind::kDeliver, encode(DeliverMsg{1, {id}, event}, s));

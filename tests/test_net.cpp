@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "net/cluster.h"
@@ -156,15 +158,15 @@ TEST(Protocol, RejectsUnknownAttributes) {
 }
 
 TEST(Protocol, BitmapHelpers) {
-  auto bm = make_bitmap(13);
+  auto bm = routing::make_bitmap(13);
   EXPECT_EQ(bm.size(), 2u);
-  EXPECT_FALSE(bitmap_all(bm, 13));
+  EXPECT_EQ(routing::bitmap_count(bm, 13), 0u);
   for (size_t i = 0; i < 13; ++i) {
-    EXPECT_FALSE(bitmap_get(bm, i));
-    bitmap_set(bm, i);
-    EXPECT_TRUE(bitmap_get(bm, i));
+    EXPECT_FALSE(routing::bitmap_get(bm, i));
+    routing::bitmap_set(bm, i);
+    EXPECT_TRUE(routing::bitmap_get(bm, i));
+    EXPECT_EQ(routing::bitmap_count(bm, 13), i + 1);
   }
-  EXPECT_TRUE(bitmap_all(bm, 13));
 }
 
 TEST(Protocol, MessageRoundTrips) {
@@ -185,13 +187,13 @@ TEST(Protocol, MessageRoundTrips) {
   EventMsg em;
   em.origin = 3;
   em.seq = 42;
-  em.brocli = make_bitmap(24);
-  bitmap_set(em.brocli, 5);
+  em.brocli = routing::make_bitmap(24);
+  routing::bitmap_set(em.brocli, 5);
   em.event = e;
   const auto em2 = decode_event_msg(encode(em, s), s);
   EXPECT_EQ(em2.origin, 3u);
   EXPECT_EQ(em2.seq, 42u);
-  EXPECT_TRUE(bitmap_get(em2.brocli, 5));
+  EXPECT_TRUE(routing::bitmap_get(em2.brocli, 5));
   EXPECT_EQ(em2.event, e);
 
   DeliverMsg dm{9, {SubId{9, 1, 4}}, e};
@@ -240,6 +242,56 @@ TEST(BrokerNode, UnsubscribeStopsNotifications) {
   EXPECT_FALSE(client->next_notification(100ms).has_value());
 }
 
+// An unsubscribe names its subscription by id, and only the id's home
+// broker may act on it. Another broker acks it and changes nothing: not the
+// subscriber of its own subscription with the same local id, ...
+TEST(BrokerNode, UnsubscribeOfForeignIdKeepsLocalSubscriber) {
+  const Schema s = schema_v();
+  Cluster cluster(s, overlay::line(2));
+  auto client = cluster.connect(0);
+  const auto sub = SubscriptionBuilder(s).where("symbol", Op::kEq, "A").build();
+  const SubId id = client->subscribe(sub);
+  client->unsubscribe(SubId{1, id.local, id.attrs});
+  client->publish(EventBuilder(s).set("symbol", "A").build());
+  const auto note = client->next_notification(2000ms);
+  ASSERT_TRUE(note.has_value());
+  EXPECT_EQ(note->ids, std::vector<SubId>{id});
+}
+
+// ... nor the summary rows it holds for the owner's subscription.
+TEST(BrokerNode, UnsubscribeOfPeerSubscriptionKeepsItRouted) {
+  const Schema s = schema_v();
+  Cluster cluster(s, overlay::line(2));
+  auto owner = cluster.connect(1);
+  auto other = cluster.connect(0);
+  const auto sub = SubscriptionBuilder(s).where("symbol", Op::kEq, "A").build();
+  const SubId id = owner->subscribe(sub);
+  ASSERT_TRUE(cluster.run_propagation_period().complete());
+  other->unsubscribe(id);
+  for (int period = 0; period < 3; ++period) {
+    other->publish(EventBuilder(s).set("symbol", "A").build());
+    const auto note = owner->next_notification(2000ms);
+    ASSERT_TRUE(note.has_value()) << "period " << period;
+    EXPECT_EQ(note->ids, std::vector<SubId>{id});
+    ASSERT_TRUE(cluster.run_propagation_period().complete());
+  }
+}
+
+// stop() races a connection accepted just before it: the handler must not
+// register (and then block on) a connection stop() has already swept.
+TEST(BrokerNode, StopNeverHangsOnConnectionAcceptedDuringStop) {
+  const Schema s = schema_v();
+  Cluster cluster(s, overlay::Graph(1));
+  for (int i = 0; i < 200; ++i) {
+    auto client = cluster.connect(0);
+    cluster.kill(0);
+    cluster.restart(0);
+  }
+  auto client = cluster.connect(0);
+  const auto sub = SubscriptionBuilder(s).where("symbol", Op::kEq, "A").build();
+  EXPECT_EQ(client->subscribe(sub).broker, 0u);
+}
+
 TEST(Cluster, Fig7EndToEndOverTcp) {
   const Schema s = schema_v();
   Cluster cluster(s, overlay::fig7_tree());
@@ -278,64 +330,157 @@ TEST(Cluster, Fig7EndToEndOverTcp) {
   EXPECT_FALSE(c12->next_notification(100ms).has_value());
 }
 
+// Differential test of the two substrates: one workload of subscribes,
+// publishes and unsubscribes replayed through SimSystem and a TCP Cluster,
+// which share their routing code (routing::examine/next_hop/send_target,
+// NaiveMatcher::refilter). Per publish it compares the delivered sets and,
+// where telemetry is compiled in, the walk's visit order (followed through
+// the kForward spans every broker logs) and the summed subsum_walk_*
+// counters against the sim's RouteResult. The controller triggers brokers
+// one at a time in id order, which is the sim's immediate delivery. line(2)
+// is left out: there each broker clears its pairing state at its own
+// iteration-1 trigger, so the Merged_Brokers sets differ.
 TEST(Cluster, TcpMatchesSimSystemOnRandomWorkload) {
+#ifdef SUBSUM_NO_TELEMETRY
+  constexpr bool kTelemetry = false;
+#else
+  constexpr bool kTelemetry = true;
+#endif
   const Schema s = schema_v();
-  const auto g = overlay::fig7_tree();
+  // In RouteResult order: walks, visited, forward_hops, delivery_hops,
+  // skipped, undeliverable.
+  const std::vector<std::string> kWalkCounters = {
+      "subsum_walk_total",
+      "subsum_walk_visits_total",
+      "subsum_walk_forward_hops_total",
+      "subsum_walk_delivery_hops_total",
+      "subsum_walk_reselects_total",
+      "subsum_walk_undeliverable_total",
+  };
+  for (const auto& g : {overlay::fig7_tree(), overlay::cable_wireless_24()}) {
+    SCOPED_TRACE("brokers: " + std::to_string(g.size()));
+    Cluster cluster(s, g);
+    sim::SystemConfig sim_cfg;
+    sim_cfg.schema = s;
+    sim_cfg.graph = g;
+    sim_cfg.propagation.immediate_delivery = true;
+    sim::SimSystem sim(sim_cfg);
 
-  Cluster cluster(s, g);
-  sim::SystemConfig sim_cfg;
-  sim_cfg.schema = s;
-  sim_cfg.graph = g;
-  sim::SimSystem sim(sim_cfg);
+    workload::SubGenParams sp;
+    sp.subsumption = 0.5;
+    workload::SubscriptionGenerator gen(s, sp, 2024);
+    workload::EventGenerator events(s, gen.pools(), {}, 2025);
+    util::Rng rng(2026);
 
-  workload::SubGenParams sp;
-  sp.subsumption = 0.5;
-  workload::SubscriptionGenerator gen(s, sp, 2024);
-  workload::EventGenerator events(s, gen.pools(), {}, 2025);
-  util::Rng rng(2026);
-
-  std::vector<std::unique_ptr<Client>> clients;
-  for (BrokerId b = 0; b < g.size(); ++b) clients.push_back(cluster.connect(b));
-
-  std::map<SubId, BrokerId> owners;
-  for (int i = 0; i < 40; ++i) {
-    const auto home = static_cast<BrokerId>(rng.below(g.size()));
-    const Subscription sub = gen.next();
-    const SubId tcp_id = clients[home]->subscribe(sub);
-    const SubId sim_id = sim.subscribe(home, sub);
-    EXPECT_EQ(tcp_id, sim_id);
-  }
-  cluster.run_propagation_period();
-  sim.run_propagation_period();
-
-  for (int i = 0; i < 20; ++i) {
-    const auto e = events.next();
-    const auto origin = static_cast<BrokerId>(rng.below(g.size()));
-    clients[origin]->publish(e);
-    const auto expected = sim.publish(origin, e);
-
-    // publish() is synchronous end-to-end, so every notification was
-    // written before it returned. Block only where something is expected;
-    // drain the rest to catch spurious extras.
-    std::map<BrokerId, size_t> expected_per_owner;
-    for (const auto& id : expected.delivered) ++expected_per_owner[id.broker];
-    std::vector<SubId> tcp_ids;
-    for (const auto& [owner, want] : expected_per_owner) {
-      size_t got = 0;
-      while (got < want) {
-        auto note = clients[owner]->next_notification(2000ms);
-        ASSERT_TRUE(note.has_value()) << "missing notification at broker " << owner;
-        for (const auto& id : note->ids) tcp_ids.push_back(id);
-        got += note->ids.size();
+    std::vector<std::unique_ptr<Client>> clients;
+    for (BrokerId b = 0; b < g.size(); ++b) clients.push_back(cluster.connect(b));
+    const auto tcp_walk_counters = [&] {
+      std::vector<uint64_t> sum(kWalkCounters.size(), 0);
+      for (BrokerId b = 0; b < g.size(); ++b) {
+        for (size_t c = 0; c < sum.size(); ++c) {
+          sum[c] += cluster.node(b).metrics().counter_value(kWalkCounters[c]);
+        }
       }
-    }
-    for (auto& c : clients) {
-      for (const auto& note : c->drain_notifications()) {
-        for (const auto& id : note.ids) tcp_ids.push_back(id);
+      return sum;
+    };
+    const auto both_periods = [&](int periods) {
+      for (int p = 0; p < periods; ++p) {
+        ASSERT_TRUE(cluster.run_propagation_period().complete());
+        sim.run_propagation_period();
       }
+    };
+
+    std::vector<std::pair<SubId, Subscription>> live;
+    for (int i = 0; i < 80; ++i) {
+      const auto home = static_cast<BrokerId>(rng.below(g.size()));
+      const Subscription sub = gen.next();
+      const SubId tcp_id = clients[home]->subscribe(sub);
+      const SubId sim_id = sim.subscribe(home, sub);
+      ASSERT_EQ(tcp_id, sim_id);
+      live.emplace_back(sim_id, sub);
     }
-    std::sort(tcp_ids.begin(), tcp_ids.end());
-    EXPECT_EQ(tcp_ids, expected.delivered) << "event " << i;
+    both_periods(1);
+
+    const auto publish_round = [&](const char* phase) {
+      for (int i = 0; i < 30; ++i) {
+        SCOPED_TRACE(std::string(phase) + " event " + std::to_string(i));
+        // Half the events are built to match a live subscription, so the
+        // walks deliver; the rest come from the generator.
+        std::optional<model::Event> built;
+        if (i % 2 == 0) {
+          built = workload::matching_event(s, live[rng.below(live.size())].second);
+        }
+        const model::Event e = built ? *built : events.next();
+        const auto origin = static_cast<BrokerId>(rng.below(g.size()));
+        const auto counters_before = tcp_walk_counters();
+        const uint64_t trace = clients[origin]->publish(e);
+        const auto expected = sim.publish(origin, e);
+
+        // publish() is synchronous end-to-end, so every notification was
+        // written before it returned. Block only where something is
+        // expected; drain the rest to catch spurious extras.
+        std::map<BrokerId, size_t> expected_per_owner;
+        for (const auto& id : expected.delivered) ++expected_per_owner[id.broker];
+        std::vector<SubId> tcp_ids;
+        for (const auto& [owner, want] : expected_per_owner) {
+          size_t got = 0;
+          while (got < want) {
+            auto note = clients[owner]->next_notification(2000ms);
+            ASSERT_TRUE(note.has_value()) << "missing notification at broker " << owner;
+            for (const auto& id : note->ids) tcp_ids.push_back(id);
+            got += note->ids.size();
+          }
+        }
+        for (auto& c : clients) {
+          for (const auto& note : c->drain_notifications()) {
+            for (const auto& id : note.ids) tcp_ids.push_back(id);
+          }
+        }
+        std::sort(tcp_ids.begin(), tcp_ids.end());
+        EXPECT_EQ(tcp_ids, expected.delivered);
+        if (!kTelemetry) continue;
+
+        const auto counters_after = tcp_walk_counters();
+        const std::vector<uint64_t> sim_counts = {
+            1,
+            expected.route.visited.size(),
+            expected.route.forward_hops,
+            expected.route.delivery_hops,
+            expected.route.skipped.size(),
+            expected.route.undeliverable.size()};
+        for (size_t c = 0; c < kWalkCounters.size(); ++c) {
+          EXPECT_EQ(counters_after[c] - counters_before[c], sim_counts[c]) << kWalkCounters[c];
+        }
+        std::map<uint32_t, uint32_t> forwarded_to;
+        for (BrokerId b = 0; b < g.size(); ++b) {
+          for (const auto& span : clients[b]->fetch_trace(trace)) {
+            if (span.phase == obs::Phase::kForward) forwarded_to[span.broker] = span.peer;
+          }
+        }
+        std::vector<BrokerId> visited = {origin};
+        while (visited.size() <= g.size() && forwarded_to.contains(visited.back())) {
+          visited.push_back(forwarded_to.at(visited.back()));
+        }
+        EXPECT_EQ(visited, expected.route.visited);
+      }
+    };
+    publish_round("before churn");
+
+    // Churn: every third subscription leaves. TCP removals reach brokers
+    // beyond the first neighbor a period after the sim's global removal,
+    // so both substrates run two periods before the second round.
+    std::vector<std::pair<SubId, Subscription>> kept;
+    for (size_t i = 0; i < live.size(); ++i) {
+      if (i % 3 != 0) {
+        kept.push_back(live[i]);
+        continue;
+      }
+      clients[live[i].first.broker]->unsubscribe(live[i].first);
+      sim.unsubscribe(live[i].first);
+    }
+    live = std::move(kept);
+    both_periods(2);
+    publish_round("after churn");
   }
 }
 

@@ -187,9 +187,11 @@ TEST_P(SimSystemE2E, DeliveredEqualsGlobalOracle) {
   EXPECT_GT(total, 0u) << "vacuous workload";
 }
 
-INSTANTIATE_TEST_SUITE_P(Cases, SimSystemE2E,
-                         ::testing::Values(E2ECase{1, 0.1, 1}, E2ECase{2, 0.5, 2},
-                                           E2ECase{3, 0.9, 3}, E2ECase{4, 0.7, 1}));
+// Static storage zero-fills the padding bytes that gtest prints in each
+// case's name; stack temporaries would leave them varying between runs.
+constexpr E2ECase kE2ECases[] = {{1, 0.1, 1}, {2, 0.5, 2}, {3, 0.9, 3}, {4, 0.7, 1}};
+
+INSTANTIATE_TEST_SUITE_P(Cases, SimSystemE2E, ::testing::ValuesIn(kE2ECases));
 
 TEST(SimSystem, UnsubscribeChurnKeepsOracleEquality) {
   SimSystem sys(make_config(overlay::fig7_tree()));

@@ -56,33 +56,6 @@ TEST(Series, StddevStableNearLargeMean) {
   EXPECT_NEAR(s.stddev(), 2.0, 1e-6);
 }
 
-TEST(Counters, IncValueSnapshot) {
-  Counters c;
-  c.inc("a");
-  c.inc("a", 2);
-  c.inc(std::string_view("b"));
-  EXPECT_EQ(c.value("a"), 3u);
-  EXPECT_EQ(c.value("b"), 1u);
-  EXPECT_EQ(c.value("never"), 0u);
-  const auto snap = c.snapshot();
-  EXPECT_EQ(snap.at("a"), 3u);
-  EXPECT_NE(c.to_string().find("a=3"), std::string::npos);
-}
-
-TEST(Counters, HandleIsStableAndShared) {
-  Counters c;
-  auto* h = c.handle("hot.path");
-  auto* again = c.handle("hot.path");
-  EXPECT_EQ(h, again);  // get-or-register returns the same object
-  h->inc();
-  h->inc(41);
-  EXPECT_EQ(h->value(), 42u);
-  // The name-keyed view and the handle view are the same counter.
-  EXPECT_EQ(c.value("hot.path"), 42u);
-  c.inc("hot.path");
-  EXPECT_EQ(h->value(), 43u);
-}
-
 TEST(Fmt, CompactNumbers) {
   EXPECT_EQ(fmt(0), "0");
   EXPECT_EQ(fmt(1.5), "1.5");

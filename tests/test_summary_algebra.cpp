@@ -171,12 +171,16 @@ TEST_P(SummaryAlgebra, RemoveUndoesAddUpToMatching) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, SummaryAlgebra,
-    ::testing::Values(AlgebraCase{1, GeneralizePolicy::kSafe, AacsMode::kExact},
-                      AlgebraCase{2, GeneralizePolicy::kSafe, AacsMode::kCoarse},
-                      AlgebraCase{3, GeneralizePolicy::kNone, AacsMode::kExact},
-                      AlgebraCase{4, GeneralizePolicy::kAggressive, AacsMode::kCoarse}));
+// Static storage zero-fills the padding bytes that gtest prints in each
+// case's name; stack temporaries would leave them varying between runs.
+constexpr AlgebraCase kCases[] = {
+    {1, GeneralizePolicy::kSafe, AacsMode::kExact},
+    {2, GeneralizePolicy::kSafe, AacsMode::kCoarse},
+    {3, GeneralizePolicy::kNone, AacsMode::kExact},
+    {4, GeneralizePolicy::kAggressive, AacsMode::kCoarse},
+};
+
+INSTANTIATE_TEST_SUITE_P(Cases, SummaryAlgebra, ::testing::ValuesIn(kCases));
 
 }  // namespace
 }  // namespace subsum::core

@@ -299,14 +299,15 @@ TEST_P(MatchProperty, ArithmeticOnlySubscriptionsAreExact) {
   EXPECT_GT(matched_total, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, MatchProperty,
-    ::testing::Values(PropertyCase{1, 0.1, GeneralizePolicy::kSafe},
-                      PropertyCase{2, 0.5, GeneralizePolicy::kSafe},
-                      PropertyCase{3, 0.9, GeneralizePolicy::kSafe},
-                      PropertyCase{4, 0.5, GeneralizePolicy::kNone},
-                      PropertyCase{5, 0.5, GeneralizePolicy::kAggressive},
-                      PropertyCase{6, 0.9, GeneralizePolicy::kAggressive}));
+// Static storage zero-fills the padding bytes that gtest prints in each
+// case's name; stack temporaries would leave them varying between runs.
+constexpr PropertyCase kPropertyCases[] = {
+    {1, 0.1, GeneralizePolicy::kSafe},       {2, 0.5, GeneralizePolicy::kSafe},
+    {3, 0.9, GeneralizePolicy::kSafe},       {4, 0.5, GeneralizePolicy::kNone},
+    {5, 0.5, GeneralizePolicy::kAggressive}, {6, 0.9, GeneralizePolicy::kAggressive},
+};
+
+INSTANTIATE_TEST_SUITE_P(Cases, MatchProperty, ::testing::ValuesIn(kPropertyCases));
 
 // Removal property: after removing a random subset, matching agrees with
 // the naive oracle on the survivors (no stale ids).
