@@ -293,21 +293,4 @@ std::vector<SubId> NaiveMatcher::match(const model::Event& event) const {
   return out;
 }
 
-const model::OwnedSubscription* NaiveMatcher::find(model::SubId id) const {
-  const auto it = std::find_if(subs_.begin(), subs_.end(),
-                               [&](const model::OwnedSubscription& os) {
-                                 return os.id == id;
-                               });
-  return it == subs_.end() ? nullptr : &*it;
-}
-
-std::vector<SubId> NaiveMatcher::refilter(std::span<const SubId> ids,
-                                          const model::Event& event) const {
-  std::vector<SubId> out;
-  for (const SubId& id : ids) {
-    if (const auto* os = find(id); os && os->sub.matches(event)) out.push_back(id);
-  }
-  return out;
-}
-
 }  // namespace subsum::core

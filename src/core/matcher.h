@@ -1,6 +1,8 @@
 // The matching algorithm (paper §3.3, Algorithm 1) plus a per-subscription
 // naive matcher used as the exactness oracle in tests and as the comparison
-// point for the §5.2.4 computational-cost benches.
+// point for the §5.2.4 computational-cost benches. NaiveMatcher is only
+// that oracle and baseline: a broker's own exact table, with lookup by id
+// and the owner's re-filter, is core::HomeTable (core/home_table.h).
 //
 // Two implementations of Algorithm 1 live here:
 //
@@ -149,15 +151,6 @@ class NaiveMatcher {
 
   /// Exact matches, sorted by id.
   [[nodiscard]] std::vector<model::SubId> match(const model::Event& event) const;
-
-  /// The subscription stored under `id`, or null. Both lookups by id scan
-  /// the table in insertion order.
-  [[nodiscard]] const model::OwnedSubscription* find(model::SubId id) const;
-
-  /// The owner's exact re-filter: the ids among `ids` that this table holds
-  /// and whose subscription matches `event`, in the order given.
-  [[nodiscard]] std::vector<model::SubId> refilter(std::span<const model::SubId> ids,
-                                                   const model::Event& event) const;
 
   [[nodiscard]] const std::vector<model::OwnedSubscription>& subs() const noexcept {
     return subs_;

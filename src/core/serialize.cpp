@@ -137,8 +137,10 @@ BrokerSummary decode_summary(std::span<const std::byte> data, const model::Schem
   const uint8_t c1 = r.get_u8();
   const uint8_t c2 = r.get_u8();
   const uint8_t c3 = r.get_u8();
+  // A uint32 broker count needs at most 32 bits of c1.
+  if (c1 > 32) throw util::DecodeError("c1 wider than any broker count");
   const model::SubIdCodec codec(
-      c1 >= 64 ? ~uint32_t{0} : (uint32_t{1} << c1),
+      c1 == 32 ? ~uint32_t{0} : (uint32_t{1} << c1),
       c2 >= 64 ? ~uint64_t{0} : (uint64_t{1} << c2), c3);
   if (codec.c1_bits() != c1 || codec.c2_bits() != c2) {
     throw util::DecodeError("inconsistent codec parameters");

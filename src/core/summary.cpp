@@ -210,14 +210,6 @@ void BrokerSummary::clear() {
   bump_version();
 }
 
-BrokerSummary BrokerSummary::rebuild(const model::Schema& schema, GeneralizePolicy policy,
-                                     const std::vector<model::OwnedSubscription>& subs,
-                                     AacsMode arith_mode) {
-  BrokerSummary out(schema, policy, arith_mode);
-  for (const auto& os : subs) out.add(os.sub, os.id);
-  return out;
-}
-
 BrokerSummary BrokerSummary::with_schema(const model::Schema& wider) const {
   if (!schema_ || !model::is_extension_of(wider, *schema_)) {
     throw std::invalid_argument("schema is not an extension of this summary's schema");

@@ -87,11 +87,17 @@ class BrokerSummary {
   void clear();
 
   /// Exact-rebuild maintenance path: reconstructs the summary from a home
-  /// broker's subscription table, shedding any accumulated SACS
-  /// generalization slack after heavy unsubscription churn.
+  /// broker's subscriptions (any range of model::OwnedSubscription, such
+  /// as a vector or core::HomeTable::entries()), adding them in range
+  /// order and shedding any accumulated SACS generalization slack after
+  /// heavy unsubscription churn.
+  template <class OwnedSubs>
   static BrokerSummary rebuild(const model::Schema& schema, GeneralizePolicy policy,
-                               const std::vector<model::OwnedSubscription>& subs,
-                               AacsMode arith_mode = AacsMode::kExact);
+                               const OwnedSubs& subs, AacsMode arith_mode = AacsMode::kExact) {
+    BrokerSummary out(schema, policy, arith_mode);
+    for (const model::OwnedSubscription& os : subs) out.add(os.sub, os.id);
+    return out;
+  }
 
   /// Dynamic schema extension (paper §6 future work): migrates the summary
   /// to a schema that appends attributes to the current one. Existing

@@ -23,6 +23,7 @@ BrokerNode::BrokerNode(BrokerConfig cfg)
                               cfg_.max_subs_per_broker, cfg_.schema.attr_count()),
             cfg_.numeric_width},
       listener_(cfg_.port),
+      home_(cfg_.id, cfg_.max_subs_per_broker),
       held_(cfg_.schema, cfg_.policy),
       trace_ring_(cfg_.trace_capacity),
       flight_(cfg_.id, cfg_.flight_capacity),
@@ -60,7 +61,6 @@ BrokerNode::BrokerNode(BrokerConfig cfg)
   ctr_delta_fallbacks_ = metrics_.counter("subsum_summary_full_fallback_total");
   ctr_digest_mismatch_ = metrics_.counter("subsum_summary_digest_mismatch_total");
   ctr_sync_requests_ = metrics_.counter("subsum_summary_sync_total");
-  ctr_shadow_expired_ = metrics_.counter("subsum_summary_shadow_expired_total");
   hist_match_ = metrics_.histogram_ex("subsum_match_latency_us");
   gauge_trace_dropped_ = metrics_.gauge("subsum_trace_spans_dropped_total");
   hist_peer_rpc_.resize(cfg_.graph.size());
@@ -111,18 +111,18 @@ BrokerNode::BrokerNode(BrokerConfig cfg)
   if (!cfg_.data_dir.empty()) {
     // Recovery runs to completion before the listener thread starts, so
     // no client or peer ever observes a half-recovered broker.
-    store_ = std::make_unique<store::BrokerStore>(cfg_.data_dir, cfg_.schema, cfg_.policy, wire_);
+    store_ = std::make_unique<store::BrokerStore>(cfg_.data_dir, cfg_.schema, cfg_.policy,
+                                                  wire_, cfg_.id, cfg_.max_subs_per_broker);
     store_->set_metrics(metrics_.histogram("subsum_wal_fsync_us"),
                         metrics_.histogram("subsum_snapshot_us"),
                         stages_.hist(obs::Stage::kWalFsync));
     store::DurableState st = store_->open();
     epoch_ = st.epoch;
-    next_local_ = st.next_local;
-    recovery_.recovered = st.epoch > 1 || !st.subs.empty();
+    recovery_.recovered = st.epoch > 1 || st.home.size() > 0;
     recovery_.wal_torn = st.wal_torn;
     recovery_.snapshot_fell_back = st.snapshot_fell_back;
     recovery_.own_image_verified = st.own_image_verified;
-    for (auto& os : st.subs) home_.add(std::move(os));
+    home_ = std::move(st.home);
     if (st.held) held_ = std::move(*st.held);
     for (size_t i = 0; i < st.merged_brokers.size(); ++i) {
       const BrokerId b = st.merged_brokers[i];
@@ -133,12 +133,6 @@ BrokerNode::BrokerNode(BrokerConfig cfg)
     std::sort(merged_brokers_.begin(), merged_brokers_.end());
     merged_brokers_.erase(std::unique(merged_brokers_.begin(), merged_brokers_.end()),
                           merged_brokers_.end());
-    for (const auto& le : st.leases) {
-      if (le.id.broker != cfg_.id || le.ttl == 0) continue;
-      // Restart re-arms the full window: the owner gets one whole lease to
-      // re-attach or renew against the new incarnation before expiry.
-      leases_[le.id.local] = Lease{le.ttl, le.ttl, le.id};
-    }
   }
   // Incarnation breadcrumbs: every dump opens with what this process knew
   // about its own birth, so a timeline stands alone without the log.
@@ -234,7 +228,7 @@ BrokerNode::Snapshot BrokerNode::snapshot() const {
   s.held_wire_bytes = core::wire_size(held_, wire_);
   s.pending_redeliveries = pending_deliveries_.size();
   s.epoch = epoch_;
-  s.active_leases = leases_.size();
+  s.active_leases = home_.lease_count();
   return s;
 }
 
@@ -253,7 +247,7 @@ std::map<BrokerId, uint64_t> BrokerNode::shadow_digests() const {
 std::vector<std::byte> BrokerNode::own_summary_wire() const {
   std::lock_guard lk(mu_);
   return core::encode_summary(
-      core::BrokerSummary::rebuild(cfg_.schema, cfg_.policy, home_.subs()), wire_,
+      core::BrokerSummary::rebuild(cfg_.schema, cfg_.policy, home_.entries()), wire_,
       /*epoch=*/0);
 }
 
@@ -370,8 +364,13 @@ void BrokerNode::handle_connection(Socket sock) {
     // before touching the network.
   }
   {
+    // Unbind only what is still bound here: a kAttach on a newer
+    // connection may have taken an id over while this one lingered.
     std::lock_guard lk(mu_);
-    for (uint32_t local : owned_locals) subscribers_.erase(local);
+    for (uint32_t local : owned_locals) {
+      const auto it = subscribers_.find(local);
+      if (it != subscribers_.end() && it->second == conn) subscribers_.erase(it);
+    }
   }
   {
     std::lock_guard qk(conn->q_mu);
@@ -518,21 +517,18 @@ void BrokerNode::on_subscribe(Socket& s, const std::shared_ptr<ClientConn>& conn
   bool rejected = false;
   {
     std::lock_guard lk(mu_);
-    if (next_local_ >= cfg_.max_subs_per_broker) {
-      throw NetError("broker exceeded max outstanding subscriptions");
-    }
     if (!governor_->admit_subscription(home_.size())) {
       rejected = true;
     } else {
-      id = SubId{cfg_.id, next_local_++, sub.mask()};
+      id = home_.allocate(sub.mask());
       held_.add(sub, id);
       home_.add({id, std::move(sub)});
+      home_.grant_lease(id, lease);
       subscribers_[id.local] = conn;
-      if (lease > 0) leases_[id.local] = Lease{lease, lease, id};
       if (store_) {
         // Durable before acked: the client may treat the ack as a promise
         // that the subscription survives kill -9.
-        store_->log_subscribe(home_.subs().back());
+        store_->log_subscribe(*home_.find(id));
         if (lease > 0) store_->log_lease(id, lease);
         commit_locked();
       }
@@ -540,8 +536,8 @@ void BrokerNode::on_subscribe(Socket& s, const std::shared_ptr<ClientConn>& conn
   }
   if (rejected) {
     // Governor capacity refusal: explicit kError with a retry-after hint
-    // (the broker did NOT act), unlike the id-space exhaustion above which
-    // is permanent and kills the connection.
+    // (the broker did NOT act), unlike id-space exhaustion (allocate()
+    // throws), which is permanent and kills the connection.
     governor_->count_rejected_subscription();
     std::lock_guard wl(conn->write_mu);
     send_frame(s, MsgKind::kError,
@@ -561,14 +557,12 @@ void BrokerNode::on_attach(Socket& s, const std::shared_ptr<ClientConn>& conn, c
     std::lock_guard lk(mu_);
     for (const SubId& id : msg.ids) {
       // Unknown ids (e.g. lost with a torn WAL tail) must be re-subscribed.
-      if (id.broker != cfg_.id || !home_.find(id)) continue;
+      if (!home_.find(id)) continue;
       subscribers_[id.local] = conn;
       owned_locals.push_back(id.local);
       // A re-attach is a liveness signal from the owner: treat it as a
       // lease renewal so reconnecting clients never race expiry.
-      if (auto lit = leases_.find(id.local); lit != leases_.end()) {
-        lit->second.remaining = lit->second.ttl;
-      }
+      home_.renew_lease(id);
       ++bound;
     }
   }
@@ -590,11 +584,9 @@ void BrokerNode::on_unsubscribe(Socket& s, ClientConn& conn, const Frame& f) {
 }
 
 bool BrokerNode::remove_subscription_locked(SubId id) {
-  if (id.broker != cfg_.id || !home_.find(id)) return false;
-  home_.remove(id);
+  if (!home_.remove(id)) return false;
   held_.remove(id);
   subscribers_.erase(id.local);
-  leases_.erase(id.local);
   pending_removals_.push_back(id);
   if (store_) store_->log_unsubscribe(id);
   return true;
@@ -606,15 +598,10 @@ void BrokerNode::commit_locked() {
   store_->commit();
   if (store_->wal_records() < cfg_.snapshot_wal_threshold) return;
   store::BrokerStore::SnapshotInput in;
-  in.next_local = next_local_;
-  in.subs = &home_.subs();
+  in.home = &home_;
   in.merged_brokers = merged_brokers_;
   in.merged_epochs = merged_epochs_locked();
   in.held = &held_;
-  in.leases.reserve(leases_.size());
-  for (const auto& [local, lease] : leases_) {
-    if (home_.find(lease.id)) in.leases.push_back({lease.id, lease.ttl, lease.remaining});
-  }
   store_->write_snapshot(in);
   ctr_compactions_->inc();
 }
@@ -688,7 +675,6 @@ void BrokerNode::ingest_full_summary(SummaryMsg msg) {
   sh.image = std::move(img);
   sh.version = msg.version;
   sh.digest = digest;
-  sh.idle_periods = 0;
   for (const SubId& id : msg.removals) incoming.remove(id);
   held_.merge(incoming);
   for (const SubId& id : msg.removals) held_.remove(id);
@@ -775,7 +761,6 @@ void BrokerNode::on_summary_delta(Socket& s, ClientConn& conn, const Frame& f) {
         } else {
           sh.version = hdr.new_version;
           sh.digest = got;
-          sh.idle_periods = 0;
           if (!delta.empty()) shadows_changed_ = true;
           // Fold the delta into held_ incrementally: additions go through
           // row insertion now (matching must not miss them this period);
@@ -858,12 +843,9 @@ void BrokerNode::on_lease_renew(Socket& s, ClientConn& conn, const Frame& f) {
   {
     std::lock_guard lk(mu_);
     for (const SubId& id : msg.ids) {
-      if (id.broker != cfg_.id) continue;
-      auto it = leases_.find(id.local);
-      if (it == leases_.end()) continue;  // permanent or already expired
-      it->second.remaining = it->second.ttl;
+      if (!home_.renew_lease(id)) continue;  // permanent, expired or not ours
       ++renewed;
-      if (store_) store_->log_lease(id, it->second.ttl);
+      if (store_) store_->log_lease(id, home_.find(id)->lease.ttl);
     }
     if (renewed > 0) commit_locked();
   }
@@ -878,20 +860,9 @@ void BrokerNode::begin_period() {
   // 1. Subscription leases: every period costs one tick; a lease that hits
   // zero expires exactly like an unsubscribe (summary rows age out, the
   // removal piggybacks to neighbors, durable state forgets it).
-  std::vector<SubId> expired;
-  for (auto it = leases_.begin(); it != leases_.end();) {
-    if (--it->second.remaining == 0) {
-      expired.push_back(it->second.id);
-      it = leases_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  bool removed = false;
+  const std::vector<SubId> expired = home_.tick_leases();
   for (const SubId& id : expired) {
-    if (!remove_subscription_locked(id)) continue;
-    removed = true;
-    held_dirty_ = true;
+    remove_subscription_locked(id);
     ctr_lease_expired_->inc();
     flight_.record(obs::FrKind::kLeaseExpired, id.local, id.broker);
     if (log_.enabled(obs::LogLevel::kInfo)) {
@@ -899,28 +870,16 @@ void BrokerNode::begin_period() {
                {{"local", id.local}, {"owner", id.broker}});
     }
   }
-  if (removed) commit_locked();
-  // 2. Summary (shadow) leases: a peer that stopped announcing takes its
-  // mirrored rows with it at the next rebuild.
-  if (cfg_.summary_lease_periods > 0) {
-    for (auto it = shadows_.begin(); it != shadows_.end();) {
-      if (++it->second.idle_periods > cfg_.summary_lease_periods) {
-        const BrokerId gone = it->first;
-        it = shadows_.erase(it);
-        std::erase(merged_brokers_, gone);
-        held_dirty_ = true;
-        ctr_shadow_expired_->inc();
-      } else {
-        ++it;
-      }
-    }
+  if (!expired.empty()) {
+    held_dirty_ = true;
+    commit_locked();
   }
-  // 3. Rebuild held_ = own rows + surviving shadow images when anything
-  // shrank (removals/drops are deferred to here) or a shadow changed.
+  // 2. Rebuild held_ = own rows + shadow images when anything shrank
+  // (removals/drops are deferred to here) or a shadow changed.
   // Quiet periods leave both flags clear, so a converged overlay is a
   // fixed point — the convergence assertion the chaos suite keys on.
   if (held_dirty_ || shadows_changed_) {
-    held_ = core::BrokerSummary::rebuild(cfg_.schema, cfg_.policy, home_.subs());
+    held_ = core::BrokerSummary::rebuild(cfg_.schema, cfg_.policy, home_.entries());
     for (const auto& [b, sh] : shadows_) core::merge_into_summary(sh.image, held_);
     held_dirty_ = false;
     shadows_changed_ = false;
@@ -948,11 +907,8 @@ std::optional<BrokerNode::PendingSend> BrokerNode::prepare_summary_send(uint32_t
   // Delta path: only against an acked base, never to a latched v3 peer,
   // and never past the periodic full-refresh backstop.
   const auto ls = last_sent_.find(*target);
-  const bool refresh_due =
-      cfg_.delta_full_refresh_every > 0 && ls != last_sent_.end() &&
-      ls->second.sends_since_full + 1 >= cfg_.delta_full_refresh_every;
-  if (cfg_.delta_announcements && ls != last_sent_.end() && !peer_wants_full_[*target] &&
-      !refresh_due) {
+  if (ls != last_sent_.end() && !peer_wants_full_[*target] &&
+      ls->second.sends_since_full + 1 < kDeltaFullRefreshEvery) {
     core::DeltaHeader hdr;
     hdr.epoch = epoch_;
     hdr.base_version = ls->second.version;
@@ -1367,7 +1323,7 @@ void BrokerNode::walk_step(EventMsg msg, size_t frame_bytes) {
         // The owner is down: keep the delivery for the redelivery pass so
         // a restarted broker (whose client re-attached) still hears it.
         walk_metrics_.undeliverable->inc();
-        queue_redelivery(PendingDelivery{owner, std::move(payload), cfg_.redelivery_ttl, trace});
+        queue_redelivery(PendingDelivery{owner, std::move(payload), kRedeliveryTtl, trace});
       }
     }
   }

@@ -1,8 +1,11 @@
 // A real broker daemon speaking the subsum protocol over TCP.
 //
 // Each BrokerNode runs a listener plus one handler thread per connection.
-// It keeps the same state as a SimSystem broker: the home subscription
-// table (exact), the held merged summary, and the Merged_Brokers set.
+// It keeps the same state as a SimSystem broker: the home table
+// (core::HomeTable: its own subscriptions, their leases and the c2
+// allocator), the held merged summary, and the Merged_Brokers set. The
+// only home state of its own is which connection each subscription
+// notifies.
 //
 // Algorithm 2 runs as externally clocked rounds: a controller (see
 // cluster.h) sends kTrigger(iteration) to every node; a node whose degree
@@ -26,7 +29,7 @@
 // The routing decisions are not this file's: the BROCLI step
 // (routing::examine, routing::next_hop), Algorithm 2's send target
 // (routing::send_target), the Merged_Brokers union (routing::merge_brokers)
-// and the owner's exact re-filter (core::NaiveMatcher::refilter) are the
+// and the owner's exact re-filter (core::HomeTable::refilter) are the
 // same functions SimSystem calls. Cluster.TcpMatchesSimSystemOnRandomWorkload
 // replays one workload through both and compares delivered sets, walk
 // order and subsum_walk_* counts.
@@ -67,6 +70,7 @@
 #include <vector>
 
 #include "core/delta.h"
+#include "core/home_table.h"
 #include "core/matcher.h"
 #include "core/quality.h"
 #include "core/serialize.h"
@@ -124,8 +128,6 @@ struct BrokerConfig {
   std::string data_dir;
   /// Compact (snapshot + WAL truncate) once this many records accumulate.
   uint64_t snapshot_wal_threshold = 256;
-  /// Propagation periods a failed delivery is retried before dropping.
-  int redelivery_ttl = 8;
   /// Spans retained in the trace ring (obs/trace.h); oldest overwritten.
   size_t trace_capacity = 4096;
   /// Shadow-sampling fraction for the summary-quality probe: 1 in
@@ -139,21 +141,11 @@ struct BrokerConfig {
   /// within the window is expired at the period boundary exactly like an
   /// unsubscribe.
   uint32_t default_lease_periods = 0;
-  /// Announce summary changes as row deltas against the last acked image.
-  /// Full images are still sent on first contact, to v3 peers (latched on a
-  /// kError ack), on the periodic refresh below, and whenever the delta
-  /// would not pay for itself.
-  bool delta_announcements = true;
-  /// Send the full image instead when the encoded delta frame exceeds this
-  /// fraction of the full frame (counted in subsum_summary_full_fallback_total).
+  /// Summary changes are announced as row deltas against the last acked
+  /// image. The full image is sent instead when the encoded delta frame
+  /// exceeds this fraction of the full frame (counted in
+  /// subsum_summary_full_fallback_total).
   double delta_max_ratio = 0.5;
-  /// Unconditional full-image refresh every N consecutive delta sends to a
-  /// peer — an anti-entropy backstop on top of digest repair. 0 = never.
-  uint32_t delta_full_refresh_every = 16;
-  /// Age out a peer's mirrored summary after this many periods without an
-  /// announcement from it (its rows leave held_ at the next rebuild).
-  /// 0 = mirrors never expire.
-  uint32_t summary_lease_periods = 0;
   // --- overload governor (net/governor.h) -----------------------------------
   /// Backpressure, admission control, peer circuit breakers, and the
   /// degradation ladder. Defaults are permissive (no rate limit, no
@@ -395,10 +387,9 @@ class BrokerNode {
   void commit_locked();
 
   /// Period-boundary soft-state maintenance, run at trigger iteration 1:
-  /// decrements and expires subscription leases, ages out silent peers'
-  /// shadow images, and — when either (or a received delta's removals)
-  /// dirtied the held state — rebuilds held_ as own-table rows plus the
-  /// surviving shadow images.
+  /// decrements and expires subscription leases and — when that (or a
+  /// received delta's removals) dirtied the held state — rebuilds held_ as
+  /// own-table rows plus the shadow images.
   void begin_period();
 
   /// Anti-entropy pull: fetches `peer`'s full image over kSummarySync and
@@ -408,10 +399,11 @@ class BrokerNode {
 
   /// Failed kDeliver payloads, re-tried at the start of each propagation
   /// period until their ttl expires (at-most-once: bounded, in-memory).
+  static constexpr int kRedeliveryTtl = 8;  // periods a failed delivery is retried
   struct PendingDelivery {
     overlay::BrokerId owner = 0;
     std::vector<std::byte> payload;  // encoded DeliverMsg
-    int ttl = 8;                     // periods left before dropping
+    int ttl = kRedeliveryTtl;        // periods left before dropping
     uint64_t trace = 0;              // redeliver spans keep the causal chain
   };
   static constexpr size_t kMaxPendingDeliveries = 1024;  // oldest dropped beyond
@@ -456,12 +448,11 @@ class BrokerNode {
   std::vector<std::weak_ptr<ClientConn>> conns_;  // for shutdown on stop()
 
   /// Per-sender mirror of the last announced image: the base a delta from
-  /// that sender applies to, and the unit of soft-state aging.
+  /// that sender applies to.
   struct PeerShadow {
     core::SummaryImage image;
     uint64_t version = 0;
     uint64_t digest = 0;
-    uint32_t idle_periods = 0;  // periods since the sender last announced
   };
   /// Per-neighbor copy of the image we last announced (and the peer
   /// acked): the base the next outgoing delta is diffed against.
@@ -471,15 +462,13 @@ class BrokerNode {
     uint64_t digest = 0;
     uint32_t sends_since_full = 0;
   };
-  /// Soft-state subscription lease, keyed by local id in leases_.
-  struct Lease {
-    uint32_t ttl = 0;        // periods granted per renewal
-    uint32_t remaining = 0;  // periods left; expires when it hits 0
-    model::SubId id;         // the leased subscription
-  };
+  /// After kDeltaFullRefreshEvery - 1 consecutive delta sends to a peer,
+  /// the next send is a full image: an anti-entropy backstop on top of
+  /// digest repair.
+  static constexpr uint32_t kDeltaFullRefreshEvery = 16;
 
   mutable std::mutex mu_;
-  core::NaiveMatcher home_;                      // exact table, maps ids->subs
+  core::HomeTable home_;                         // own subs, leases, c2 allocator
   core::BrokerSummary held_;                     // own + everything received
   std::vector<overlay::BrokerId> merged_brokers_;
   std::vector<model::SubId> pending_removals_;
@@ -489,8 +478,6 @@ class BrokerNode {
   std::vector<char> peer_wants_full_;  // latched when a peer kErrors a delta (v3)
   bool held_dirty_ = false;       // rows were removed: rebuild at the boundary
   bool shadows_changed_ = false;  // a shadow image changed since the rebuild
-  std::map<uint32_t, Lease> leases_;  // local id -> lease; guarded by mu_
-  uint32_t next_local_ = 0;
   uint64_t publish_seq_ = 0;
   uint64_t period_seq_ = 0;  // propagation periods seen; guarded by mu_
   std::atomic<uint64_t> rpc_seq_{0};  // jitter seed stream for peer RPCs
@@ -532,7 +519,6 @@ class BrokerNode {
   obs::Counter* ctr_delta_fallbacks_ = nullptr;  // subsum_summary_full_fallback_total
   obs::Counter* ctr_digest_mismatch_ = nullptr;  // subsum_summary_digest_mismatch_total
   obs::Counter* ctr_sync_requests_ = nullptr;    // subsum_summary_sync_total
-  obs::Counter* ctr_shadow_expired_ = nullptr;   // subsum_summary_shadow_expired_total
   obs::Histogram* hist_match_ = nullptr;        // subsum_match_latency_us
   std::vector<obs::Histogram*> hist_peer_rpc_;  // subsum_peer_rpc_latency_us{peer="N"}
   std::vector<obs::Counter*> ctr_peer_retries_;  // subsum_peer_rpc_retries_total{peer="N"}

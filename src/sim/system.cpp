@@ -35,8 +35,7 @@ SimSystem::SimSystem(SystemConfig cfg)
       probe_(metrics_, core::SampleConfig{cfg_.quality_sample_shift}) {
   const size_t n = cfg_.graph.size();
   if (n == 0) throw std::invalid_argument("system needs at least one broker");
-  home_.resize(n);
-  next_local_.assign(n, 0);
+  for (BrokerId b = 0; b < n; ++b) home_.emplace_back(b, cfg_.max_subs_per_broker);
   delta_.assign(n, core::BrokerSummary(cfg_.schema, cfg_.policy, cfg_.arith_mode));
   state_.held.assign(n, core::BrokerSummary(cfg_.schema, cfg_.policy, cfg_.arith_mode));
   state_.merged_brokers.resize(n);
@@ -48,21 +47,18 @@ void SimSystem::dissolve(BrokerId broker, const model::Subscription& sub, SubId 
   state_.held[broker].add(sub, id);  // local knowledge is immediate
 }
 
-SubId SimSystem::subscribe(BrokerId broker, model::Subscription sub) {
+SubId SimSystem::subscribe(BrokerId broker, model::Subscription sub, uint32_t lease_periods) {
   if (broker >= broker_count()) throw std::invalid_argument("broker id out of range");
-  if (next_local_[broker] >= cfg_.max_subs_per_broker) {
-    throw std::runtime_error("broker exceeded max outstanding subscriptions (c2 width)");
-  }
-  const SubId id{broker, next_local_[broker]++, sub.mask()};
+  const SubId id = home_[broker].allocate(sub.mask());
 
   bool covered = false;
   if (cfg_.combine_subsumption) {
     // Covered by an already-propagated root of this broker? Then skip the
     // summaries entirely; the root's deliveries carry the event here.
-    for (const auto& os : home_[broker].subs()) {
-      if (!covered_by_.contains(os.id)) continue;  // only roots cover
-      if (siena::covers(os.sub, sub, cfg_.schema)) {
-        covered_by_[os.id].push_back(id);
+    for (const core::HomeEntry& e : home_[broker].entries()) {
+      if (!covered_by_.contains(e.id)) continue;  // only roots cover
+      if (siena::covers(e.sub, sub, cfg_.schema)) {
+        covered_by_[e.id].push_back(id);
         covered = true;
         break;
       }
@@ -71,24 +67,12 @@ SubId SimSystem::subscribe(BrokerId broker, model::Subscription sub) {
   }
   if (!covered) dissolve(broker, sub, id);
   home_[broker].add({id, std::move(sub)});
+  home_[broker].grant_lease(id, lease_periods);
   return id;
-}
-
-SubId SimSystem::subscribe(BrokerId broker, model::Subscription sub, uint32_t lease_periods) {
-  const SubId id = subscribe(broker, std::move(sub));
-  if (lease_periods > 0) leases_[id] = Lease{lease_periods, lease_periods};
-  return id;
-}
-
-bool SimSystem::renew_lease(SubId id) {
-  const auto it = leases_.find(id);
-  if (it == leases_.end()) return false;
-  it->second.remaining = it->second.ttl;
-  return true;
 }
 
 void SimSystem::unsubscribe(SubId id) {
-  leases_.erase(id);
+  if (id.broker >= broker_count() || !home_[id.broker].remove(id)) return;
   // Promote subscriptions this root was covering before it disappears.
   if (const auto it = covered_by_.find(id); it != covered_by_.end()) {
     const std::vector<SubId> orphans = std::move(it->second);
@@ -105,7 +89,6 @@ void SimSystem::unsubscribe(SubId id) {
       std::erase(ids, id);
     }
   }
-  home_.at(id.broker).remove(id);
   state_.held[id.broker].remove(id);
   delta_[id.broker].remove(id);
   pending_removals_.push_back(id);
@@ -119,22 +102,15 @@ routing::PropagationResult SimSystem::run_propagation_period() {
   // Soft state first: every period costs each lease one tick; expiry is an
   // unsubscribe in all but name, so the removal rides this same period's
   // maintenance piggyback.
-  std::vector<SubId> lease_expired;
-  for (auto it = leases_.begin(); it != leases_.end();) {
-    if (--it->second.remaining == 0) {
-      lease_expired.push_back(it->first);
-      it = leases_.erase(it);
-    } else {
-      ++it;
+  size_t lease_expired = 0;
+  for (core::HomeTable& home : home_) {
+    for (const SubId& id : home.tick_leases()) {
+      flight_.record_at(vt_us, obs::FrKind::kLeaseExpired, id.local, id.broker);
+      unsubscribe(id);
+      ++lease_expired;
     }
   }
-  for (const SubId& id : lease_expired) {
-    flight_.record_at(vt_us, obs::FrKind::kLeaseExpired, id.local, id.broker);
-    unsubscribe(id);
-  }
-  if (!lease_expired.empty()) {
-    metrics_.counter("subsum_lease_expired_total")->inc(lease_expired.size());
-  }
+  if (lease_expired > 0) metrics_.counter("subsum_lease_expired_total")->inc(lease_expired);
   // Maintenance: apply pending removals to every broker's held state (they
   // ride along the period's summary messages; bytes charged below).
   for (auto& held : state_.held) {

@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "core/home_table.h"
 #include "core/matcher.h"
 #include "core/quality.h"
 #include "core/serialize.h"
@@ -84,24 +85,17 @@ class SimSystem {
 
   /// Registers a subscription at `broker`; returns its system-wide id.
   /// Local matching is immediate; remote brokers learn about it at the next
-  /// run_propagation_period().
-  model::SubId subscribe(overlay::BrokerId broker, model::Subscription sub);
-
-  /// subscribe() with a soft-state lease (mirrors the net layer's v4
-  /// semantics): unless renewed within `lease_periods` propagation
-  /// periods, the subscription is expired — exactly like unsubscribe() —
-  /// at the start of a period, counted in subsum_lease_expired_total.
-  /// 0 = permanent.
+  /// run_propagation_period(). With a soft-state lease (the net layer's v4
+  /// semantics), the subscription is expired — exactly like unsubscribe()
+  /// — at the start of the `lease_periods`-th period, counted in
+  /// subsum_lease_expired_total. 0 = permanent.
   model::SubId subscribe(overlay::BrokerId broker, model::Subscription sub,
-                         uint32_t lease_periods);
-
-  /// Resets a leased subscription's window to its full TTL. Returns false
-  /// when the id has no live lease (permanent, expired, or unknown).
-  bool renew_lease(model::SubId id);
+                         uint32_t lease_periods = 0);
 
   /// Removes a subscription. Remote summary copies are cleaned up at the
   /// next propagation period (the paper leaves maintenance scheduling open;
-  /// see DESIGN.md).
+  /// see DESIGN.md). An id that is not live (never issued, already
+  /// unsubscribed, or expired) changes nothing.
   void unsubscribe(model::SubId id);
 
   /// Runs one propagation period over the subscriptions added since the
@@ -191,16 +185,9 @@ class SimSystem {
   core::WireConfig wire_;
   Accounting acct_;
 
-  struct Lease {
-    uint32_t ttl = 0;
-    uint32_t remaining = 0;
-  };
-
-  std::vector<core::NaiveMatcher> home_;          // exact tables per broker
+  std::vector<core::HomeTable> home_;             // per broker: own subs + leases
   std::vector<core::BrokerSummary> delta_;        // this period's new subs
   std::vector<model::SubId> pending_removals_;
-  std::map<model::SubId, Lease> leases_;          // soft-state subscriptions
-  std::vector<uint32_t> next_local_;              // per-broker c2 allocator
   routing::PropagationResult state_;              // cumulative held summaries
   /// combine_subsumption bookkeeping: propagated root -> covered local subs.
   std::map<model::SubId, std::vector<model::SubId>> covered_by_;

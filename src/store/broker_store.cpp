@@ -71,8 +71,14 @@ void write_file_atomic(const std::string& dir, const std::string& path,
 }  // namespace
 
 BrokerStore::BrokerStore(std::string dir, model::Schema schema, core::GeneralizePolicy policy,
-                         core::WireConfig wire)
-    : dir_(std::move(dir)), schema_(std::move(schema)), policy_(policy), wire_(std::move(wire)) {
+                         core::WireConfig wire, overlay::BrokerId owner,
+                         uint64_t max_subs_per_broker)
+    : dir_(std::move(dir)),
+      schema_(std::move(schema)),
+      policy_(policy),
+      wire_(std::move(wire)),
+      owner_(owner),
+      max_subs_(max_subs_per_broker) {
   std::filesystem::create_directories(dir_);
 }
 
@@ -97,7 +103,8 @@ void BrokerStore::persist_epoch(uint64_t epoch) const {
 }
 
 DurableState BrokerStore::open() {
-  DurableState st;
+  const core::HomeTable empty_home(owner_, max_subs_);
+  DurableState st(empty_home);
   uint64_t snap_epoch = 0;
 
   // 1. Snapshot (trusted only when magic + CRC + rebuild verification pass).
@@ -115,11 +122,13 @@ DurableState BrokerStore::open() {
           if (util::crc32c(payload) == crc) {
             util::BufReader r(payload);
             snap_epoch = r.get_u64();
-            st.next_local = static_cast<uint32_t>(r.get_varint());
+            st.home.advance_next_local(static_cast<uint32_t>(r.get_varint()));
             const uint64_t nsubs = r.get_varint();
             for (uint64_t i = 0; i < nsubs; ++i) {
               const model::SubId id = net::get_sub_id(r);
-              st.subs.push_back({id, net::get_subscription(r, schema_)});
+              // A duplicate or foreign id is left out, so the own-image
+              // check below fails and the snapshot is distrusted.
+              st.home.add({id, net::get_subscription(r, schema_)});
             }
             const uint64_t nmerged = r.get_varint();
             for (uint64_t i = 0; i < nmerged; ++i) {
@@ -133,11 +142,10 @@ DurableState BrokerStore::open() {
             if (!r.done()) {
               const uint64_t nleases = r.get_varint();
               for (uint64_t i = 0; i < nleases; ++i) {
-                LeaseEntry le;
-                le.id = net::get_sub_id(r);
-                le.ttl = static_cast<uint32_t>(r.get_varint());
-                le.remaining = static_cast<uint32_t>(r.get_varint());
-                st.leases.push_back(le);
+                const model::SubId id = net::get_sub_id(r);
+                const auto ttl = static_cast<uint32_t>(r.get_varint());
+                r.get_varint();  // remaining at snapshot time; the grant re-arms
+                st.home.grant_lease(id, ttl);
               }
             }
             if (!r.done()) throw util::DecodeError("trailing bytes after snapshot");
@@ -146,7 +154,8 @@ DurableState BrokerStore::open() {
             // subscription set. A mismatch means the snapshot lies about
             // itself — demote it rather than serve wrong routing state.
             const auto rebuilt = core::encode_summary(
-                core::BrokerSummary::rebuild(schema_, policy_, st.subs), wire_, snap_epoch);
+                core::BrokerSummary::rebuild(schema_, policy_, st.home.entries()), wire_,
+                snap_epoch);
             if (rebuilt.size() == own_image.size() &&
                 std::equal(rebuilt.begin(), rebuilt.end(), own_image.begin())) {
               st.held = core::decode_summary(held_image, schema_, policy_);
@@ -162,7 +171,7 @@ DurableState BrokerStore::open() {
       trusted = false;  // e.g. a decoded subscription failing validation
     }
     if (!trusted) {
-      st = DurableState{};  // discard everything the snapshot claimed
+      st = DurableState(empty_home);  // discard everything the snapshot claimed
       st.snapshot_fell_back = true;
       snap_epoch = 0;
     }
@@ -178,25 +187,15 @@ DurableState BrokerStore::open() {
       const uint8_t kind = r.get_u8();
       if (kind == kRecSubscribe) {
         const model::SubId id = net::get_sub_id(r);
-        model::Subscription sub = net::get_subscription(r, schema_);
-        st.next_local = std::max(st.next_local, id.local + 1);
-        const bool dup = std::any_of(st.subs.begin(), st.subs.end(),
-                                     [&](const auto& os) { return os.id == id; });
-        if (dup) continue;  // snapshot already covers it (crash mid-compaction)
-        st.held->add(sub, id);
-        st.subs.push_back({id, std::move(sub)});
+        // A duplicate is one the snapshot already covers (crash mid-compaction).
+        if (!st.home.add({id, net::get_subscription(r, schema_)})) continue;
+        st.held->add(st.home.find(id)->sub, id);
       } else if (kind == kRecUnsubscribe) {
         const model::SubId id = net::get_sub_id(r);
-        std::erase_if(st.subs, [&](const auto& os) { return os.id == id; });
-        std::erase_if(st.leases, [&](const LeaseEntry& le) { return le.id == id; });
-        st.held->remove(id);
+        if (st.home.remove(id)) st.held->remove(id);
       } else if (kind == kRecLease) {
-        LeaseEntry le;
-        le.id = net::get_sub_id(r);
-        le.ttl = static_cast<uint32_t>(r.get_varint());
-        le.remaining = le.ttl;  // restart re-arms the full lease window
-        std::erase_if(st.leases, [&](const LeaseEntry& e) { return e.id == le.id; });
-        st.leases.push_back(le);
+        const model::SubId id = net::get_sub_id(r);
+        st.home.grant_lease(id, static_cast<uint32_t>(r.get_varint()));
       }
       // Unknown kinds: skip (forward compatibility), the CRC already
       // guaranteed the record is intact.
@@ -264,13 +263,14 @@ uint64_t BrokerStore::wal_bytes() const noexcept {
 }
 
 std::vector<std::byte> BrokerStore::encode_snapshot(const SnapshotInput& in) const {
+  const core::HomeTable& home = *in.home;
   util::BufWriter w(4096);
   w.put_u64(epoch_);
-  w.put_varint(in.next_local);
-  w.put_varint(in.subs->size());
-  for (const auto& os : *in.subs) {
-    net::put_sub_id(w, os.id);
-    net::put_subscription(w, os.sub);
+  w.put_varint(home.next_local());
+  w.put_varint(home.size());
+  for (const core::HomeEntry& e : home.entries()) {
+    net::put_sub_id(w, e.id);
+    net::put_subscription(w, e.sub);
   }
   w.put_varint(in.merged_brokers.size());
   for (size_t i = 0; i < in.merged_brokers.size(); ++i) {
@@ -278,7 +278,7 @@ std::vector<std::byte> BrokerStore::encode_snapshot(const SnapshotInput& in) con
     w.put_u64(i < in.merged_epochs.size() ? in.merged_epochs[i] : 0);
   }
   const auto own = core::encode_summary(
-      core::BrokerSummary::rebuild(schema_, policy_, *in.subs), wire_, epoch_);
+      core::BrokerSummary::rebuild(schema_, policy_, home.entries()), wire_, epoch_);
   w.put_varint(own.size());
   w.put_bytes(own);
   const auto held = core::encode_summary(*in.held, wire_, epoch_);
@@ -287,11 +287,12 @@ std::vector<std::byte> BrokerStore::encode_snapshot(const SnapshotInput& in) con
   // v4 trailing lease section: pre-v4 readers rejected trailing bytes, so
   // this rides behind everything they parsed; the current reader treats it
   // as optional.
-  w.put_varint(in.leases.size());
-  for (const auto& le : in.leases) {
-    net::put_sub_id(w, le.id);
-    w.put_varint(le.ttl);
-    w.put_varint(le.remaining);
+  w.put_varint(home.lease_count());
+  for (const core::HomeEntry& e : home.entries()) {
+    if (e.lease.ttl == 0) continue;
+    net::put_sub_id(w, e.id);
+    w.put_varint(e.lease.ttl);
+    w.put_varint(e.lease.remaining);
   }
   return std::move(w).take();
 }

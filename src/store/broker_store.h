@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "core/home_table.h"
 #include "core/serialize.h"
 #include "core/summary.h"
 #include "model/subscription.h"
@@ -45,32 +46,24 @@
 
 namespace subsum::store {
 
-/// One persisted subscription lease (v4 soft state). `remaining` is
-/// re-armed to the full ttl on recovery: the owner gets one whole lease
-/// window to renew or re-attach against the new incarnation.
-struct LeaseEntry {
-  model::SubId id;
-  uint32_t ttl = 0;        // periods granted per renewal
-  uint32_t remaining = 0;  // periods left at snapshot time
-};
-
 /// Everything recovery reconstructed from the data directory.
 struct DurableState {
+  explicit DurableState(core::HomeTable empty_home) : home(std::move(empty_home)) {}
+
   /// This incarnation's epoch (already bumped past every persisted value).
   uint64_t epoch = 1;
-  /// Next free local subscription id.
-  uint32_t next_local = 0;
-  /// The home subscription table, in original insertion order.
-  std::vector<model::OwnedSubscription> subs;
+  /// The home table: the live subscriptions, their leases (snapshot
+  /// section + WAL lease records) and the next free c2. Every lease is
+  /// re-armed to its full ttl: the owner gets one whole lease window to
+  /// renew or re-attach against the new incarnation.
+  core::HomeTable home;
   /// Merged_Brokers set from the snapshot (empty when falling back).
   std::vector<overlay::BrokerId> merged_brokers;
   /// Last known epoch per entry of merged_brokers (aligned).
   std::vector<uint64_t> merged_epochs;
   /// Held merged summary: snapshot image + WAL tail applied; on fallback,
-  /// rebuilt from `subs` alone (peer state heals via resends).
+  /// rebuilt from `home` alone (peer state heals via resends).
   std::optional<core::BrokerSummary> held;
-  /// Live subscription leases (snapshot section + WAL lease records).
-  std::vector<LeaseEntry> leases;
 
   // Diagnostics for tests and logs.
   bool wal_torn = false;          // a torn/corrupt log tail was discarded
@@ -81,9 +74,10 @@ struct DurableState {
 class BrokerStore {
  public:
   /// Creates `dir` if needed. The schema/policy/wire must match the
-  /// broker's (they parameterize record and image encoding).
+  /// broker's (they parameterize record and image encoding); `owner` and
+  /// `max_subs_per_broker` are the recovered home table's (core/home_table.h).
   BrokerStore(std::string dir, model::Schema schema, core::GeneralizePolicy policy,
-              core::WireConfig wire);
+              core::WireConfig wire, overlay::BrokerId owner, uint64_t max_subs_per_broker);
   ~BrokerStore();
 
   BrokerStore(const BrokerStore&) = delete;
@@ -104,12 +98,10 @@ class BrokerStore {
 
   /// State fed to write_snapshot(): the broker's current in-memory state.
   struct SnapshotInput {
-    uint32_t next_local = 0;
-    const std::vector<model::OwnedSubscription>* subs = nullptr;
+    const core::HomeTable* home = nullptr;
     std::vector<overlay::BrokerId> merged_brokers;
     std::vector<uint64_t> merged_epochs;
     const core::BrokerSummary* held = nullptr;
-    std::vector<LeaseEntry> leases;
   };
 
   /// Compaction: atomically replaces the snapshot and truncates the log.
@@ -149,6 +141,8 @@ class BrokerStore {
   model::Schema schema_;
   core::GeneralizePolicy policy_;
   core::WireConfig wire_;
+  overlay::BrokerId owner_;
+  uint64_t max_subs_;
   std::unique_ptr<WalWriter> wal_;
   uint64_t epoch_ = 0;
   uint64_t wal_base_records_ = 0;  // records already in the log at open()

@@ -277,6 +277,39 @@ TEST(BrokerNode, UnsubscribeOfPeerSubscriptionKeepsItRouted) {
   }
 }
 
+// A reconnecting client re-attaches its ids on a new connection while the
+// old one may still be half open. When the old connection finally closes,
+// it must not unbind the ids the new connection took over.
+TEST(BrokerNode, ClosingOldConnectionKeepsReattachedBinding) {
+  const Schema s = schema_v();
+  Cluster cluster(s, overlay::Graph(1));
+  auto old_conn = cluster.connect(0);
+  auto publisher = cluster.connect(0);
+  const SubId id =
+      old_conn->subscribe(SubscriptionBuilder(s).where("symbol", Op::kEq, "A").build());
+
+  Socket fresh = connect_local(cluster.port_of(0), 500ms);
+  fresh.set_recv_timeout(2000ms);
+  send_frame(fresh, MsgKind::kAttach, encode(AttachMsg{{id}}));
+  const auto ack = recv_frame(fresh);
+  ASSERT_TRUE(ack.has_value());
+  ASSERT_EQ(ack->kind, MsgKind::kAttachAck);
+
+  const uint64_t before = cluster.node(0).governor().connections();
+  old_conn.reset();
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (cluster.node(0).governor().connections() >= before) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "old connection never closed";
+    std::this_thread::sleep_for(5ms);
+  }
+
+  publisher->publish(EventBuilder(s).set("symbol", "A").build());
+  const auto note = recv_frame(fresh);
+  ASSERT_TRUE(note.has_value());
+  ASSERT_EQ(note->kind, MsgKind::kNotify);
+  EXPECT_EQ(decode_notify_msg(note->payload, s).ids, std::vector<SubId>{id});
+}
+
 // stop() races a connection accepted just before it: the handler must not
 // register (and then block on) a connection stop() has already swept.
 TEST(BrokerNode, StopNeverHangsOnConnectionAcceptedDuringStop) {
@@ -331,9 +364,10 @@ TEST(Cluster, Fig7EndToEndOverTcp) {
 }
 
 // Differential test of the two substrates: one workload of subscribes,
-// publishes and unsubscribes replayed through SimSystem and a TCP Cluster,
-// which share their routing code (routing::examine/next_hop/send_target,
-// NaiveMatcher::refilter). Per publish it compares the delivered sets and,
+// publishes, unsubscribes and lease expiries replayed through SimSystem and
+// a TCP Cluster, which share their routing code (routing::examine/next_hop/
+// send_target) and their home state (core::HomeTable: c2 allocation,
+// leases, refilter). Per publish it compares the delivered sets and,
 // where telemetry is compiled in, the walk's visit order (followed through
 // the kForward spans every broker logs) and the summed subsum_walk_*
 // counters against the sim's RouteResult. The controller triggers brokers
@@ -390,16 +424,32 @@ TEST(Cluster, TcpMatchesSimSystemOnRandomWorkload) {
       }
     };
 
+    const auto tcp_home_totals = [&] {
+      std::pair<size_t, size_t> subs_and_leases;
+      for (BrokerId b = 0; b < g.size(); ++b) {
+        const auto snap = cluster.node(b).snapshot();
+        subs_and_leases.first += snap.local_subs;
+        subs_and_leases.second += snap.active_leases;
+      }
+      return subs_and_leases;
+    };
+
+    // Every fifth subscription carries a two-period lease in both
+    // substrates: live through the first round, expired at the first
+    // churn period.
+    const auto leased = [](size_t i) { return i % 5 == 4; };
     std::vector<std::pair<SubId, Subscription>> live;
-    for (int i = 0; i < 80; ++i) {
+    for (size_t i = 0; i < 80; ++i) {
       const auto home = static_cast<BrokerId>(rng.below(g.size()));
       const Subscription sub = gen.next();
-      const SubId tcp_id = clients[home]->subscribe(sub);
-      const SubId sim_id = sim.subscribe(home, sub);
+      const uint32_t lease = leased(i) ? 2 : 0;
+      const SubId tcp_id = clients[home]->subscribe(sub, lease);
+      const SubId sim_id = sim.subscribe(home, sub, lease);
       ASSERT_EQ(tcp_id, sim_id);
       live.emplace_back(sim_id, sub);
     }
     both_periods(1);
+    EXPECT_EQ(tcp_home_totals(), std::make_pair(size_t{80}, size_t{16}));
 
     const auto publish_round = [&](const char* phase) {
       for (int i = 0; i < 30; ++i) {
@@ -466,20 +516,30 @@ TEST(Cluster, TcpMatchesSimSystemOnRandomWorkload) {
     };
     publish_round("before churn");
 
-    // Churn: every third subscription leaves. TCP removals reach brokers
+    // Churn: every third subscription leaves, and the remaining leased
+    // ones expire at the first period below. TCP removals reach brokers
     // beyond the first neighbor a period after the sim's global removal,
     // so both substrates run two periods before the second round.
     std::vector<std::pair<SubId, Subscription>> kept;
     for (size_t i = 0; i < live.size(); ++i) {
-      if (i % 3 != 0) {
+      if (i % 3 == 0) {
+        clients[live[i].first.broker]->unsubscribe(live[i].first);
+        sim.unsubscribe(live[i].first);
+      } else if (!leased(i)) {
         kept.push_back(live[i]);
-        continue;
       }
-      clients[live[i].first.broker]->unsubscribe(live[i].first);
-      sim.unsubscribe(live[i].first);
     }
     live = std::move(kept);
     both_periods(2);
+    EXPECT_EQ(tcp_home_totals(), std::make_pair(live.size(), size_t{0}));
+    if (kTelemetry) {
+      uint64_t tcp_expired = 0;
+      for (BrokerId b = 0; b < g.size(); ++b) {
+        tcp_expired += cluster.node(b).metrics().counter_value("subsum_lease_expired_total");
+      }
+      EXPECT_EQ(tcp_expired, 11u);
+      EXPECT_EQ(sim.metrics().counter_value("subsum_lease_expired_total"), 11u);
+    }
     publish_round("after churn");
   }
 }

@@ -128,6 +128,14 @@ TEST(Serialize, MalformedInputsThrow) {
   bad = good;
   bad.push_back(std::byte{0});
   EXPECT_THROW(decode_summary(bad, s), util::DecodeError);
+
+  // A c1 width no uint32 broker count produces (version, epoch and numeric
+  // width precede it in the header).
+  for (const uint8_t c1 : {33, 40, 63, 64, 255}) {
+    bad = good;
+    bad[1 + 8 + 1] = std::byte{c1};
+    EXPECT_THROW(decode_summary(bad, s), util::DecodeError) << "c1 " << int{c1};
+  }
 }
 
 TEST(Serialize, WireSizeEqualsEncodedSize) {

@@ -85,6 +85,28 @@ TEST(SimSystem, UnsubscribeStopsDeliveryEverywhere) {
   EXPECT_TRUE(sys.publish(0, e).candidates.empty()) << "stale summary rows remain";
 }
 
+// An unsubscribe of an id that is not live changes nothing: no removal
+// rides the next period, so no summary send grows by its bytes.
+TEST(SimSystem, UnsubscribeOfIdNotLiveChangesNothing) {
+  const auto total_bytes = [](bool unsubscribe_dead_ids) {
+    SimSystem sys(make_config(overlay::fig7_tree()));
+    const auto sub =
+        SubscriptionBuilder(sys.schema()).where("symbol", Op::kEq, "OTE").build();
+    const SubId id = sys.subscribe(3, sub);
+    const SubId leased = sys.subscribe(4, sub, /*lease_periods=*/1);
+    sys.run_propagation_period();  // `leased` expires here
+    sys.unsubscribe(id);
+    if (unsubscribe_dead_ids) {
+      sys.unsubscribe(id);                       // already unsubscribed
+      sys.unsubscribe(leased);                   // expired
+      sys.unsubscribe(SubId{5, 7, sub.mask()});  // never issued
+    }
+    sys.run_propagation_period();
+    return sys.accounting().total_bytes();
+  };
+  EXPECT_EQ(total_bytes(true), total_bytes(false));
+}
+
 TEST(SimSystem, AccountingLedger) {
   SimSystem sys(make_config(overlay::fig7_tree()));
   const auto sub =

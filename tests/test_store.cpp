@@ -23,7 +23,7 @@ using model::SubscriptionBuilder;
 
 std::vector<std::byte> bytes_of(const std::string& s) {
   std::vector<std::byte> out(s.size());
-  std::memcpy(out.data(), s.data(), s.size());
+  if (!s.empty()) std::memcpy(out.data(), s.data(), s.size());
   return out;
 }
 
@@ -209,7 +209,14 @@ struct StoreFixture {
   core::WireConfig wire{model::SubIdCodec(24, 1u << 20, schema.attr_count()), 8};
 
   std::unique_ptr<BrokerStore> make(const std::string& dir) {
-    return std::make_unique<BrokerStore>(dir, schema, core::GeneralizePolicy::kSafe, wire);
+    return std::make_unique<BrokerStore>(dir, schema, core::GeneralizePolicy::kSafe, wire,
+                                         /*owner=*/0, 1u << 20);
+  }
+
+  core::HomeTable table(const std::vector<model::OwnedSubscription>& subs) {
+    core::HomeTable home(0, 1u << 20);
+    for (const auto& os : subs) home.add(os);
+    return home;
   }
 
   model::OwnedSubscription sub(uint32_t local, const std::string& sym) {
@@ -242,15 +249,15 @@ TEST(BrokerStore, SubscriptionsSurviveReopen) {
   }
   auto store = fx.make(dir);
   const DurableState st = store->open();
-  ASSERT_EQ(st.subs.size(), 1u);
-  EXPECT_EQ(st.subs[0].id.local, 1u);
-  EXPECT_EQ(st.next_local, 2u);
+  ASSERT_EQ(st.home.size(), 1u);
+  EXPECT_EQ(st.home.entries().front().id.local, 1u);
+  EXPECT_EQ(st.home.next_local(), 2u);
   EXPECT_FALSE(st.wal_torn);
   EXPECT_FALSE(st.snapshot_fell_back);
   ASSERT_TRUE(st.held.has_value());
   // The recovered held summary routes exactly like a fresh rebuild.
   const auto rebuilt = core::BrokerSummary::rebuild(fx.schema, core::GeneralizePolicy::kSafe,
-                                                    st.subs);
+                                                    st.home.entries());
   EXPECT_EQ(core::encode_summary(*st.held, fx.wire), core::encode_summary(rebuilt, fx.wire));
 }
 
@@ -266,8 +273,8 @@ TEST(BrokerStore, SnapshotCompactsAndTailReplays) {
     EXPECT_EQ(store->wal_records(), 2u);
 
     BrokerStore::SnapshotInput in;
-    in.next_local = 2;
-    in.subs = &subs;
+    const auto home = fx.table(subs);
+    in.home = &home;
     in.merged_brokers = {0, 2};
     in.merged_epochs = {store->epoch(), 7};
     const auto held = core::BrokerSummary::rebuild(fx.schema, core::GeneralizePolicy::kSafe,
@@ -281,8 +288,8 @@ TEST(BrokerStore, SnapshotCompactsAndTailReplays) {
   }
   auto store = fx.make(dir);
   const DurableState st = store->open();
-  ASSERT_EQ(st.subs.size(), 3u);
-  EXPECT_EQ(st.next_local, 3u);
+  ASSERT_EQ(st.home.size(), 3u);
+  EXPECT_EQ(st.home.next_local(), 3u);
   EXPECT_TRUE(st.own_image_verified);
   EXPECT_EQ(st.merged_brokers, (std::vector<overlay::BrokerId>{0, 2}));
   ASSERT_EQ(st.merged_epochs.size(), 2u);
@@ -308,8 +315,8 @@ TEST(BrokerStore, ReplayIsIdempotentWhenLogOutlivesSnapshot) {
             static_cast<std::streamsize>(wal_image.size()));
 
     BrokerStore::SnapshotInput ss;
-    ss.next_local = 2;
-    ss.subs = &subs;
+    const auto home = fx.table(subs);
+    ss.home = &home;
     ss.merged_brokers = {0};
     ss.merged_epochs = {store->epoch()};
     const auto held = core::BrokerSummary::rebuild(fx.schema, core::GeneralizePolicy::kSafe,
@@ -320,8 +327,8 @@ TEST(BrokerStore, ReplayIsIdempotentWhenLogOutlivesSnapshot) {
   append_raw(dir + "/wal", wal_image);  // "truncate never happened"
   auto store = fx.make(dir);
   const DurableState st = store->open();
-  EXPECT_EQ(st.subs.size(), 2u);  // not 4: duplicates skipped
-  EXPECT_EQ(st.next_local, 2u);
+  EXPECT_EQ(st.home.size(), 2u);  // not 4: duplicates skipped
+  EXPECT_EQ(st.home.next_local(), 2u);
 }
 
 TEST(BrokerStore, CorruptSnapshotFallsBackToLogReplay) {
@@ -334,8 +341,8 @@ TEST(BrokerStore, CorruptSnapshotFallsBackToLogReplay) {
     store->log_subscribe(subs[0]);
     store->commit();
     BrokerStore::SnapshotInput in;
-    in.next_local = 1;
-    in.subs = &subs;
+    const auto home = fx.table(subs);
+    in.home = &home;
     in.merged_brokers = {0};
     in.merged_epochs = {store->epoch()};
     const auto held = core::BrokerSummary::rebuild(fx.schema, core::GeneralizePolicy::kSafe,
@@ -351,8 +358,8 @@ TEST(BrokerStore, CorruptSnapshotFallsBackToLogReplay) {
   EXPECT_TRUE(st.snapshot_fell_back);
   EXPECT_FALSE(st.own_image_verified);
   // Degraded but consistent: only the post-snapshot tail is in the log.
-  ASSERT_EQ(st.subs.size(), 1u);
-  EXPECT_EQ(st.subs[0].id.local, 1u);
+  ASSERT_EQ(st.home.size(), 1u);
+  EXPECT_EQ(st.home.entries().front().id.local, 1u);
 }
 
 TEST(BrokerStore, TruncatedSnapshotAndBadMagicFallBack) {
@@ -367,8 +374,8 @@ TEST(BrokerStore, TruncatedSnapshotAndBadMagicFallBack) {
       store->log_subscribe(subs[0]);
       store->commit();
       BrokerStore::SnapshotInput in;
-      in.next_local = 1;
-      in.subs = &subs;
+      const auto home = fx.table(subs);
+      in.home = &home;
       in.merged_brokers = {0};
       in.merged_epochs = {store->epoch()};
       const auto held = core::BrokerSummary::rebuild(fx.schema, core::GeneralizePolicy::kSafe,
@@ -384,7 +391,7 @@ TEST(BrokerStore, TruncatedSnapshotAndBadMagicFallBack) {
     auto store = fx.make(dir);
     const DurableState st = store->open();
     EXPECT_TRUE(st.snapshot_fell_back);
-    EXPECT_TRUE(st.subs.empty());  // log was truncated at compaction
+    EXPECT_EQ(st.home.size(), 0u);  // log was truncated at compaction
   }
 }
 
@@ -402,14 +409,14 @@ TEST(BrokerStore, TornWalTailIsDiscardedAndLogHealed) {
     auto store = fx.make(dir);
     const DurableState st = store->open();
     EXPECT_TRUE(st.wal_torn);
-    ASSERT_EQ(st.subs.size(), 1u);
+    ASSERT_EQ(st.home.size(), 1u);
     store->log_subscribe(fx.sub(1, "BBB"));  // appends after the healed tail
     store->commit();
   }
   auto store = fx.make(dir);
   const DurableState st = store->open();
   EXPECT_FALSE(st.wal_torn);
-  EXPECT_EQ(st.subs.size(), 2u);
+  EXPECT_EQ(st.home.size(), 2u);
 }
 
 TEST(BrokerStore, CorruptEpochFileIsDistrustedNotFatal) {
