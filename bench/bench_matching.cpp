@@ -11,14 +11,12 @@
 #include <memory>
 
 #include "bench_common.h"
-#include "core/batch_matcher.h"
 #include "core/matcher.h"
 #include "obs/flight_recorder.h"
 #include "obs/latency.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 #include "workload/event_gen.h"
 
 namespace {
@@ -102,7 +100,7 @@ void BM_SummaryMatch(benchmark::State& state) {
 }
 
 // The engine through a reused caller-owned scratch: the steady-state
-// allocation-free path BatchMatcher and publish_batch run on.
+// allocation-free path bench_json's batch loop and publish_batch run on.
 void BM_SummaryMatchScratch(benchmark::State& state) {
   auto& f = fixture_for(static_cast<size_t>(state.range(0)),
                         static_cast<double>(state.range(1)) / 100.0);
@@ -160,21 +158,6 @@ void BM_SummaryMatchReference(benchmark::State& state) {
     benchmark::DoNotOptimize(m);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-
-// Batched throughput: events/sec over a 256-event batch, sharded across a
-// fixed-size pool (threads = arg 2). items_processed counts events.
-void BM_BatchMatch(benchmark::State& state) {
-  auto& f = fixture_for(static_cast<size_t>(state.range(0)),
-                        static_cast<double>(state.range(1)) / 100.0);
-  util::ThreadPool pool(static_cast<size_t>(state.range(2)));
-  core::BatchMatcher matcher(pool);
-  std::vector<std::vector<model::SubId>> results;
-  for (auto _ : state) {
-    matcher.match_batch(f.summary, f.events, results);
-    benchmark::DoNotOptimize(results);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * f.events.size()));
 }
 
 // Telemetry-overhead guard: the scratch path plus exactly the
@@ -265,10 +248,6 @@ BENCHMARK(BM_SummaryMatchReference)
 BENCHMARK(BM_SummaryMatchTelemetry)
     ->ArgsProduct({{100, 1000, 10000, 100000}, {10, 90}})
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_BatchMatch)
-    ->ArgsProduct({{10000, 100000}, {10, 90}, {1, 2, 4, 8}})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 BENCHMARK(BM_NaiveMatch)
     ->ArgsProduct({{100, 1000, 10000, 100000}, {10, 90}})
     ->Unit(benchmark::kMicrosecond);

@@ -1,9 +1,7 @@
 #include "core/delta.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
 namespace subsum::core {
@@ -13,12 +11,6 @@ namespace {
 using model::SubId;
 
 constexpr uint8_t kDeltaVersion = 1;  // delta format v1 (ships in PROTOCOL v4 frames)
-
-// Arith row-key flags, same layout as the full-image format plus a drop bit.
-constexpr uint8_t kLoInf = 1 << 4;
-constexpr uint8_t kHiInf = 1 << 5;
-constexpr uint8_t kPoint = 1 << 6;
-constexpr uint8_t kDrop = 1 << 7;
 
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr uint64_t kFnvPrime = 0x100000001b3ull;
@@ -73,61 +65,6 @@ uint64_t hash_string_row(model::AttrId a, const SummaryImage::StringRow& row) no
 bool arith_key_less(const Interval& a, const Interval& b) noexcept {
   if (a.lo != b.lo) return a.lo < b.lo;
   return a.hi < b.hi;
-}
-
-void put_numeric(util::BufWriter& w, double v, uint8_t width) {
-  if (width == 8) {
-    w.put_f64(v);
-    return;
-  }
-  const auto f = static_cast<float>(v);
-  if (std::isfinite(v) && std::nearbyint(v) == v &&
-      std::abs(v) > static_cast<double>(std::numeric_limits<int32_t>::max())) {
-    throw std::range_error("numeric value does not fit the 4-byte wire width");
-  }
-  uint32_t bits;
-  static_assert(sizeof bits == sizeof f);
-  std::memcpy(&bits, &f, sizeof bits);
-  w.put_u32(bits);
-}
-
-double get_numeric(util::BufReader& r, uint8_t width) {
-  if (width == 8) return r.get_f64();
-  const uint32_t bits = r.get_u32();
-  float f;
-  std::memcpy(&f, &bits, sizeof f);
-  return static_cast<double>(f);
-}
-
-void put_id(util::BufWriter& w, const model::SubIdCodec& codec, const SubId& id) {
-  __uint128_t bits = codec.pack(id);
-  for (size_t i = 0; i < codec.encoded_size(); ++i) {
-    w.put_u8(static_cast<uint8_t>(bits >> (8 * i)));
-  }
-}
-
-SubId get_id(util::BufReader& r, const model::SubIdCodec& codec) {
-  __uint128_t bits = 0;
-  for (size_t i = 0; i < codec.encoded_size(); ++i) {
-    bits |= static_cast<__uint128_t>(r.get_u8()) << (8 * i);
-  }
-  return codec.unpack(bits);
-}
-
-void put_ids(util::BufWriter& w, const model::SubIdCodec& codec, const std::vector<SubId>& ids) {
-  w.put_varint(ids.size());
-  for (const auto& id : ids) put_id(w, codec, id);
-}
-
-std::vector<SubId> get_ids(util::BufReader& r, const model::SubIdCodec& codec) {
-  const uint64_t n = r.get_varint();
-  if (n > r.remaining()) throw util::DecodeError("id list longer than payload");
-  std::vector<SubId> ids;
-  ids.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) ids.push_back(get_id(r, codec));
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
 }
 
 std::vector<SubId> id_union(const std::vector<SubId>& a, const std::vector<SubId>& b) {
@@ -362,9 +299,6 @@ void apply_delta(SummaryImage& img, const SummaryDelta& d) {
 
 std::vector<std::byte> encode_delta(const SummaryDelta& d, const model::Schema& schema,
                                     const WireConfig& cfg, const DeltaHeader& header) {
-  if (cfg.numeric_width != 4 && cfg.numeric_width != 8) {
-    throw std::invalid_argument("numeric_width must be 4 or 8");
-  }
   if (d.arith.size() != schema.attr_count() || d.strings.size() != schema.attr_count()) {
     throw std::invalid_argument("encode_delta: schema mismatch");
   }
@@ -375,27 +309,13 @@ std::vector<std::byte> encode_delta(const SummaryDelta& d, const model::Schema& 
   w.put_u64(header.new_version);
   w.put_u64(header.base_digest);
   w.put_u64(header.new_digest);
-  w.put_u8(cfg.numeric_width);
-  w.put_u8(static_cast<uint8_t>(cfg.codec.c1_bits()));
-  w.put_u8(static_cast<uint8_t>(cfg.codec.c2_bits()));
-  w.put_u8(static_cast<uint8_t>(cfg.codec.c3_bits()));
-  w.put_varint(schema.attr_count());
+  put_codec_header(w, cfg, schema);
 
   for (model::AttrId a = 0; a < schema.attr_count(); ++a) {
     if (is_arithmetic(schema.type_of(a))) {
       w.put_varint(d.arith[a].size());
       for (const auto& e : d.arith[a]) {
-        uint8_t flags = static_cast<uint8_t>((e.iv.lo.o + 1) | ((e.iv.hi.o + 1) << 2));
-        const bool lo_inf = std::isinf(e.iv.lo.v);
-        const bool hi_inf = std::isinf(e.iv.hi.v);
-        const bool point = e.iv.is_point();
-        if (lo_inf) flags |= kLoInf;
-        if (hi_inf) flags |= kHiInf;
-        if (point) flags |= kPoint;
-        if (e.drop) flags |= kDrop;
-        w.put_u8(flags);
-        if (!lo_inf) put_numeric(w, e.iv.lo.v, cfg.numeric_width);
-        if (!hi_inf && !point) put_numeric(w, e.iv.hi.v, cfg.numeric_width);
+        put_aacs_key(w, e.iv, cfg.numeric_width, e.drop);
         if (!e.drop) {
           put_ids(w, cfg.codec, e.add);
           put_ids(w, cfg.codec, e.del);
@@ -405,8 +325,7 @@ std::vector<std::byte> encode_delta(const SummaryDelta& d, const model::Schema& 
       w.put_varint(d.strings[a].size());
       for (const auto& e : d.strings[a]) {
         w.put_u8(e.drop ? 1 : 0);
-        w.put_u8(static_cast<uint8_t>(e.pattern.op));
-        w.put_string(e.pattern.operand);
+        put_sacs_key(w, e.pattern);
         if (!e.drop) {
           put_ids(w, cfg.codec, e.add);
           put_ids(w, cfg.codec, e.del);
@@ -428,47 +347,22 @@ SummaryDelta decode_delta(std::span<const std::byte> data, const model::Schema& 
   header.base_digest = r.get_u64();
   header.new_digest = r.get_u64();
   if (header_out) *header_out = header;
-  const uint8_t width = r.get_u8();
-  if (width != 4 && width != 8) throw util::DecodeError("bad numeric width");
-  const uint8_t c1 = r.get_u8();
-  const uint8_t c2 = r.get_u8();
-  const uint8_t c3 = r.get_u8();
-  const model::SubIdCodec codec(c1 >= 64 ? ~uint32_t{0} : (uint32_t{1} << c1),
-                                c2 >= 64 ? ~uint64_t{0} : (uint64_t{1} << c2), c3);
-  if (codec.c1_bits() != c1 || codec.c2_bits() != c2) {
-    throw util::DecodeError("inconsistent codec parameters");
-  }
-  if (r.get_varint() != schema.attr_count()) {
-    throw util::DecodeError("delta schema attribute count mismatch");
-  }
+  const WireConfig cfg = get_codec_header(r, schema);
 
   SummaryDelta d;
   d.arith.resize(schema.attr_count());
   d.strings.resize(schema.attr_count());
   for (model::AttrId a = 0; a < schema.attr_count(); ++a) {
-    const uint64_t n = r.get_varint();
-    if (n > r.remaining()) throw util::DecodeError("edit list longer than payload");
+    // Every edit takes at least its one flags byte.
+    const uint64_t n = r.get_count(1);
     if (is_arithmetic(schema.type_of(a))) {
       d.arith[a].reserve(n);
       for (uint64_t i = 0; i < n; ++i) {
-        const uint8_t flags = r.get_u8();
-        Pos lo{-std::numeric_limits<double>::infinity(), 0};
-        Pos hi{std::numeric_limits<double>::infinity(), 0};
-        lo.o = static_cast<int8_t>((flags & 0x3) - 1);
-        hi.o = static_cast<int8_t>(((flags >> 2) & 0x3) - 1);
-        if (!(flags & kLoInf)) lo.v = get_numeric(r, width);
-        if (flags & kPoint) {
-          hi = lo;
-        } else if (!(flags & kHiInf)) {
-          hi.v = get_numeric(r, width);
-        }
-        if (hi < lo) throw util::DecodeError("empty AACS edit key on the wire");
         SummaryDelta::ArithEdit e;
-        e.iv = Interval{lo, hi};
-        e.drop = (flags & kDrop) != 0;
+        e.iv = get_aacs_key(r, cfg.numeric_width, &e.drop);
         if (!e.drop) {
-          e.add = get_ids(r, codec);
-          e.del = get_ids(r, codec);
+          e.add = get_ids(r, cfg.codec);
+          e.del = get_ids(r, cfg.codec);
         }
         d.arith[a].push_back(std::move(e));
       }
@@ -477,16 +371,12 @@ SummaryDelta decode_delta(std::span<const std::byte> data, const model::Schema& 
       for (uint64_t i = 0; i < n; ++i) {
         const uint8_t flags = r.get_u8();
         if (flags > 1) throw util::DecodeError("bad SACS edit flags on the wire");
-        const auto op = static_cast<model::Op>(r.get_u8());
-        if (!model::op_valid_for(op, model::AttrType::kString)) {
-          throw util::DecodeError("bad SACS operator on the wire");
-        }
         SummaryDelta::StringEdit e;
-        e.pattern = StringPattern{op, r.get_string()};
+        e.pattern = get_sacs_key(r);
         e.drop = flags != 0;
         if (!e.drop) {
-          e.add = get_ids(r, codec);
-          e.del = get_ids(r, codec);
+          e.add = get_ids(r, cfg.codec);
+          e.del = get_ids(r, cfg.codec);
         }
         d.strings[a].push_back(std::move(e));
       }

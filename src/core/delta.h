@@ -121,8 +121,10 @@ struct DeltaHeader {
   uint64_t new_digest = 0;    // image_digest the receiver must land on
 };
 
-/// Encodes a delta (self-contained: carries numeric width + id codec like
-/// encode_summary). Schema must match the images the delta was diffed from.
+/// Encodes a delta: the DeltaHeader fields, then per attribute the edits
+/// written with the row codec of core/serialize.h (the codec header, row
+/// keys and id lists are the full format's), plus the drop bit. Schema
+/// must match the images the delta was diffed from.
 std::vector<std::byte> encode_delta(const SummaryDelta& d, const model::Schema& schema,
                                     const WireConfig& cfg, const DeltaHeader& header);
 

@@ -48,7 +48,7 @@ struct MatchDiag {
 /// high-water mark and are then reused, so steady state allocates
 /// nothing); results live in `out` and are overwritten by the next call.
 /// A scratch must not be shared between concurrent calls — use one per
-/// thread (see BatchMatcher).
+/// thread (SimSystem::publish_batch keeps one per shard).
 struct MatchScratch {
   /// Matched ids of the most recent match_into() call (sorted).
   std::vector<model::SubId> out;

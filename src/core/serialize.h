@@ -22,6 +22,9 @@
 //
 // Subscription ids are packed c1|c2|c3 (SubIdCodec) in
 // codec.encoded_size() bytes each — the paper's `sid`.
+//
+// Everything after the epoch is the row codec declared below, which the
+// delta format (core/delta.h) shares.
 #pragma once
 
 #include <cstddef>
@@ -56,6 +59,41 @@ BrokerSummary decode_summary(std::span<const std::byte> data, const model::Schem
 
 /// Encoded size in bytes (== encode_summary(...).size()).
 size_t wire_size(const BrokerSummary& summary, const WireConfig& cfg);
+
+// --- the row codec ----------------------------------------------------------
+// Full images and deltas (core/delta.h) write and read their codec header,
+// row keys and id lists through these functions and nothing else, so the
+// two formats cannot drift apart.
+
+/// Codec header: u8 numeric_width, u8 c1/c2/c3 bits, varint attr_count.
+/// Throws std::invalid_argument on a width other than 4 or 8.
+void put_codec_header(util::BufWriter& w, const WireConfig& cfg, const model::Schema& schema);
+
+/// Reads a codec header. Throws util::DecodeError on a bad width, a c1
+/// wider than any uint32 broker count, inconsistent codec parameters or an
+/// attribute count other than the schema's.
+WireConfig get_codec_header(util::BufReader& r, const model::Schema& schema);
+
+/// Packed id list: varint count, then codec.encoded_size() bytes per id.
+void put_ids(util::BufWriter& w, const model::SubIdCodec& codec,
+             const std::vector<model::SubId>& ids);
+
+/// Reads a packed id list; the result is sorted and unique.
+std::vector<model::SubId> get_ids(util::BufReader& r, const model::SubIdCodec& codec);
+
+/// AACS row key: the flags byte, then the finite bounds at `width`. `drop`
+/// sets flags bit 7, which only deltas use.
+void put_aacs_key(util::BufWriter& w, const Interval& iv, uint8_t width, bool drop = false);
+
+/// Reads an AACS row key; flags bit 7 lands in `*drop` when non-null.
+/// Throws util::DecodeError on an empty interval.
+Interval get_aacs_key(util::BufReader& r, uint8_t width, bool* drop = nullptr);
+
+/// SACS row key: u8 operator, then the operand string.
+void put_sacs_key(util::BufWriter& w, const StringPattern& p);
+
+/// Reads a SACS row key. Throws util::DecodeError on a non-string operator.
+StringPattern get_sacs_key(util::BufReader& r);
 
 /// The paper's size model, equations (1) and (2).
 struct PaperSizeParams {

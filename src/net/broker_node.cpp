@@ -20,12 +20,10 @@ using overlay::BrokerId;
 BrokerNode::BrokerNode(BrokerConfig cfg)
     : cfg_(std::move(cfg)),
       wire_{model::SubIdCodec(static_cast<uint32_t>(cfg_.graph.size()),
-                              cfg_.max_subs_per_broker, cfg_.schema.attr_count()),
-            cfg_.numeric_width},
+                              cfg_.max_subs_per_broker, cfg_.schema.attr_count())},
       listener_(cfg_.port),
       home_(cfg_.id, cfg_.max_subs_per_broker),
       held_(cfg_.schema, cfg_.policy),
-      trace_ring_(cfg_.trace_capacity),
       flight_(cfg_.id, cfg_.flight_capacity),
       stages_(metrics_),
       probe_(metrics_, core::SampleConfig{cfg_.quality_sample_shift}),
@@ -41,7 +39,6 @@ BrokerNode::BrokerNode(BrokerConfig cfg)
   }
   merged_brokers_ = {cfg_.id};
   communicated_.assign(cfg_.graph.size(), 0);
-  peer_wants_full_.assign(cfg_.graph.size(), 0);
 
   // Pre-register every hot-path metric handle; after this, instrument code
   // only does relaxed atomic adds (obs/metrics.h).
@@ -655,57 +652,43 @@ void BrokerNode::ingest_full_summary(SummaryMsg msg) {
   auto incoming = core::decode_summary(msg.summary, cfg_.schema, cfg_.policy,
                                        core::AacsMode::kExact, &image_epoch);
   std::lock_guard lk(mu_);
-  if (msg.from < communicated_.size()) communicated_[msg.from] = 1;
   // A newer incarnation's image carries its full current state (sends are
-  // state-based), so the discard in check_epochs_locked then this merge
+  // state-based), so the epoch discard in ingest_locked then this merge
   // converges.
-  if (check_epochs_locked(msg.from, image_epoch, msg.merged_brokers, msg.epochs) ==
-      routing::EpochCheck::kStale) {
-    return;
-  }
-  // Mirror the sender's announced image BEFORE the removal piggyback
-  // touches it: the shadow is the base later deltas apply to and must
-  // match the sender's last_sent copy bit for bit. v3 frames carry no
-  // digest (0); computing it locally keeps them delta-upgradable if the
-  // peer upgrades mid-flight.
-  core::SummaryImage img = core::extract_image(incoming);
-  const uint64_t digest = msg.digest ? msg.digest : core::image_digest(img);
-  auto& sh = shadows_[msg.from];
-  if (sh.digest != digest || sh.version != msg.version) shadows_changed_ = true;
-  sh.image = std::move(img);
-  sh.version = msg.version;
-  sh.digest = digest;
-  for (const SubId& id : msg.removals) incoming.remove(id);
-  held_.merge(incoming);
-  for (const SubId& id : msg.removals) held_.remove(id);
-  routing::merge_brokers(merged_brokers_, std::move(msg.merged_brokers));
-  // The held image changed: refresh wire-vs-model drift and the
-  // per-attribute row-occupancy distributions while it is current.
-  core::export_model_drift(metrics_, held_, wire_);
-  core::export_row_occupancy(metrics_, held_);
+  ingest_locked(msg, image_epoch, [&](routing::EpochCheck) {
+    // Mirror the sender's announced image BEFORE the removal piggyback
+    // touches it: the shadow is the base later deltas apply to and must
+    // match the sender's last_sent copy bit for bit.
+    auto& sh = shadows_[msg.from];
+    if (sh.digest != msg.digest || sh.version != msg.version) shadows_changed_ = true;
+    sh = PeerShadow{core::extract_image(incoming), msg.version, msg.digest};
+    for (const SubId& id : msg.removals) incoming.remove(id);
+    held_.merge(incoming);
+    return true;
+  });
 }
 
-routing::EpochCheck BrokerNode::check_epochs_locked(BrokerId from, uint64_t epoch,
-                                                    const std::vector<BrokerId>& merged,
-                                                    const std::vector<uint64_t>& epochs) {
+void BrokerNode::ingest_locked(SummaryEnvelope& msg, uint64_t epoch,
+                               const std::function<bool(routing::EpochCheck)>& fold) {
+  if (msg.from < communicated_.size()) communicated_[msg.from] = 1;
   // Anti-entropy by incarnation: an announcement stamped with an epoch
   // older than one already seen from that sender is a zombie of a
-  // pre-crash incarnation — the caller drops it wholesale.
-  const auto from_check = peer_epochs_.observe(from, epoch);
+  // pre-crash incarnation — dropped wholesale.
+  const auto from_check = peer_epochs_.observe(msg.from, epoch);
   if (from_check == routing::EpochCheck::kStale) {
     ctr_stale_->inc();
-    return from_check;
+    return;
   }
   if (from_check == routing::EpochCheck::kNewer) {
     // The sender restarted: everything we hold on its behalf is from the
     // old incarnation.
-    held_.remove_broker(from);
+    held_.remove_broker(msg.from);
     ctr_superseded_->inc();
   }
-  for (size_t i = 0; i < merged.size(); ++i) {
-    const BrokerId b = merged[i];
-    if (b == cfg_.id || b == from) continue;
-    const uint64_t e = i < epochs.size() ? epochs[i] : 0;
+  for (size_t i = 0; i < msg.merged_brokers.size(); ++i) {
+    const BrokerId b = msg.merged_brokers[i];
+    if (b == cfg_.id || b == msg.from) continue;
+    const uint64_t e = i < msg.epochs.size() ? msg.epochs[i] : 0;
     if (peer_epochs_.observe(b, e) == routing::EpochCheck::kNewer) {
       // Transitive case: the sender aggregated b's post-restart state, so
       // our pre-restart rows for b are superseded too. (A kStale entry is
@@ -716,7 +699,13 @@ routing::EpochCheck BrokerNode::check_epochs_locked(BrokerId from, uint64_t epoc
       ctr_superseded_->inc();
     }
   }
-  return from_check;
+  if (!fold(from_check)) return;
+  for (const SubId& id : msg.removals) held_.remove(id);
+  routing::merge_brokers(merged_brokers_, std::move(msg.merged_brokers));
+  // The held image changed: refresh wire-vs-model drift and the
+  // per-attribute row-occupancy distributions while it is current.
+  core::export_model_drift(metrics_, held_, wire_);
+  core::export_row_occupancy(metrics_, held_);
 }
 
 void BrokerNode::on_summary(Socket& s, ClientConn& conn, const Frame& f) {
@@ -729,17 +718,13 @@ void BrokerNode::on_summary_delta(Socket& s, ClientConn& conn, const Frame& f) {
   auto msg = decode_summary_delta_msg(f.payload);
   core::DeltaHeader hdr;
   const auto delta = core::decode_delta(msg.delta, cfg_.schema, &hdr);
+  // Set only for a sender that is not stale: a zombie incarnation is
+  // dropped but acked kApplied, so it does not spiral into repair loops
+  // against state it cannot own.
   bool need_full = false;
-  bool stale = false;
   {
     std::lock_guard lk(mu_);
-    const auto from_check =
-        check_epochs_locked(msg.from, hdr.epoch, msg.merged_brokers, msg.epochs);
-    if (from_check == routing::EpochCheck::kStale) {
-      // Zombie incarnation: drop, but ack kApplied so the stale sender
-      // does not spiral into repair loops against state it cannot own.
-      stale = true;
-    } else {
+    ingest_locked(msg, hdr.epoch, [&](routing::EpochCheck from_check) {
       // A new incarnation deltas against a base this side cannot hold.
       if (from_check == routing::EpochCheck::kNewer) shadows_.erase(msg.from);
       auto it = shadows_.find(msg.from);
@@ -748,50 +733,44 @@ void BrokerNode::on_summary_delta(Socket& s, ClientConn& conn, const Frame& f) {
         // No shadow (first contact, restart) or a different base than the
         // diff assumes: only a full image can re-anchor this link.
         need_full = true;
-      } else {
-        PeerShadow& sh = it->second;
-        core::apply_delta(sh.image, delta);
-        const uint64_t got = core::image_digest(sh.image);
-        if (got != hdr.new_digest) {
-          // The edits did not land on the digest the sender stamped: the
-          // link diverged. Leave the shadow as-is — the sync below
-          // replaces it wholesale.
-          ctr_digest_mismatch_->inc();
-          need_full = true;
-        } else {
-          sh.version = hdr.new_version;
-          sh.digest = got;
-          if (!delta.empty()) shadows_changed_ = true;
-          // Fold the delta into held_ incrementally: additions go through
-          // row insertion now (matching must not miss them this period);
-          // removals and dropped rows are deferred to the period-boundary
-          // rebuild, which re-derives held_ from own rows + shadows.
-          bool shrank = false;
-          for (size_t a = 0; a < delta.arith.size(); ++a) {
-            const auto attr = static_cast<model::AttrId>(a);
-            for (const auto& e : delta.arith[a]) {
-              if (e.drop || !e.del.empty()) shrank = true;
-              if (!e.drop && !e.add.empty()) held_.insert_arith(attr, e.iv, e.add);
-            }
-          }
-          for (size_t a = 0; a < delta.strings.size(); ++a) {
-            const auto attr = static_cast<model::AttrId>(a);
-            for (const auto& e : delta.strings[a]) {
-              if (e.drop || !e.del.empty()) shrank = true;
-              if (!e.drop && !e.add.empty()) held_.insert_string(attr, e.pattern, e.add);
-            }
-          }
-          if (shrank) held_dirty_ = true;
-          for (const SubId& id : msg.removals) held_.remove(id);
-          routing::merge_brokers(merged_brokers_, std::move(msg.merged_brokers));
-          core::export_model_drift(metrics_, held_, wire_);
-          core::export_row_occupancy(metrics_, held_);
+        return false;
+      }
+      PeerShadow& sh = it->second;
+      core::apply_delta(sh.image, delta);
+      const uint64_t got = core::image_digest(sh.image);
+      if (got != hdr.new_digest) {
+        // The edits did not land on the digest the sender stamped: the
+        // link diverged. Leave the shadow as-is — the sync below replaces
+        // it wholesale.
+        ctr_digest_mismatch_->inc();
+        need_full = true;
+        return false;
+      }
+      sh.version = hdr.new_version;
+      sh.digest = got;
+      if (!delta.empty()) shadows_changed_ = true;
+      // Fold the delta into held_ incrementally: additions go through row
+      // insertion now (matching must not miss them this period); removals
+      // and dropped rows are deferred to the period-boundary rebuild,
+      // which re-derives held_ from own rows + shadows.
+      for (size_t a = 0; a < delta.arith.size(); ++a) {
+        const auto attr = static_cast<model::AttrId>(a);
+        for (const auto& e : delta.arith[a]) {
+          if (e.drop || !e.del.empty()) held_dirty_ = true;
+          if (!e.drop && !e.add.empty()) held_.insert_arith(attr, e.iv, e.add);
         }
       }
-    }
-    if (msg.from < communicated_.size()) communicated_[msg.from] = 1;
+      for (size_t a = 0; a < delta.strings.size(); ++a) {
+        const auto attr = static_cast<model::AttrId>(a);
+        for (const auto& e : delta.strings[a]) {
+          if (e.drop || !e.del.empty()) held_dirty_ = true;
+          if (!e.drop && !e.add.empty()) held_.insert_string(attr, e.pattern, e.add);
+        }
+      }
+      return true;
+    });
   }
-  if (need_full && !stale) {
+  if (need_full) {
     // Pull the repair BEFORE acking: when the ack (kNeedFull) reaches the
     // sender, this side already converged — divergence never outlives the
     // period that detected it. No deadlock: the sender's sync handler
@@ -833,7 +812,7 @@ void BrokerNode::on_summary_sync(Socket& s, ClientConn& conn, const Frame& f) {
 void BrokerNode::sync_from_peer(BrokerId peer) {
   ctr_sync_requests_->inc();
   const auto payload = encode(SummarySyncMsg{cfg_.id});
-  Frame ack = rpc_to_peer(peer, MsgKind::kSummarySync, payload, {MsgKind::kSummarySyncAck});
+  Frame ack = rpc_to_peer(peer, MsgKind::kSummarySync, payload);
   ingest_full_summary(decode_summary_msg(ack.payload));
 }
 
@@ -904,11 +883,10 @@ std::optional<BrokerNode::PendingSend> BrokerNode::prepare_summary_send(uint32_t
   send.removals = std::exchange(pending_removals_, {});
   auto full_payload = encode_full_locked(send);
 
-  // Delta path: only against an acked base, never to a latched v3 peer,
-  // and never past the periodic full-refresh backstop.
+  // Delta path: only against an acked base, and never past the periodic
+  // full-refresh backstop.
   const auto ls = last_sent_.find(*target);
-  if (ls != last_sent_.end() && !peer_wants_full_[*target] &&
-      ls->second.sends_since_full + 1 < kDeltaFullRefreshEvery) {
+  if (ls != last_sent_.end() && ls->second.sends_since_full + 1 < kDeltaFullRefreshEvery) {
     core::DeltaHeader hdr;
     hdr.epoch = epoch_;
     hdr.base_version = ls->second.version;
@@ -979,45 +957,17 @@ void BrokerNode::on_trigger(Socket& s, ClientConn& conn, const Frame& f) {
   auto send = prepare_summary_send(msg.iteration);
   if (send) {
     try {
-      if (send->kind == MsgKind::kSummaryDelta) {
-        Frame ack = rpc_to_peer(send->to, MsgKind::kSummaryDelta, send->payload,
-                                {MsgKind::kSummaryDeltaAck, MsgKind::kError});
-        if (ack.kind == MsgKind::kError) {
-          // A v3 peer rejects the whole kSummaryDelta frame. Latch it and
-          // resend this period's announcement as a full image — it must
-          // carry the same removals, which the peer never saw. Re-encode
-          // under the lock so the image recorded below is the one on the
-          // wire even if held_ moved meanwhile.
-          ctr_delta_fallbacks_->inc();
-          std::vector<std::byte> full_payload;
-          {
-            std::lock_guard lk(mu_);
-            peer_wants_full_[send->to] = 1;
-            full_payload = encode_full_locked(*send);
-          }
-          rpc_to_peer(send->to, MsgKind::kSummary, full_payload, {MsgKind::kSummaryAck});
-          ctr_full_sends_->inc();
-          ctr_full_bytes_->inc(full_payload.size());
-          std::lock_guard lk(mu_);
-          record_last_sent_locked(std::move(*send), /*was_full=*/true);
-        } else {
-          ctr_delta_sends_->inc();
-          ctr_delta_bytes_->inc(send->payload.size());
-          const auto st = decode_summary_delta_ack(ack.payload);
-          if (st.status == SummaryDeltaAckMsg::kApplied) {
-            std::lock_guard lk(mu_);
-            record_last_sent_locked(std::move(*send), /*was_full=*/false);
-          }
-          // kNeedFull: the receiver already pulled a full image through
-          // kSummarySync before acking, and on_summary_sync reset this
-          // peer's last_sent to that image — nothing more to record.
-        }
-      } else {
-        rpc_to_peer(send->to, MsgKind::kSummary, send->payload, {MsgKind::kSummaryAck});
-        ctr_full_sends_->inc();
-        ctr_full_bytes_->inc(send->payload.size());
+      const Frame ack = rpc_to_peer(send->to, send->kind, send->payload);
+      const bool full = send->kind == MsgKind::kSummary;
+      (full ? ctr_full_sends_ : ctr_delta_sends_)->inc();
+      (full ? ctr_full_bytes_ : ctr_delta_bytes_)->inc(send->payload.size());
+      // A delta acked kNeedFull is not recorded: the receiver already
+      // pulled a full image through kSummarySync before acking, and
+      // on_summary_sync reset this peer's last_sent to that image.
+      if (full ||
+          decode_summary_delta_ack(ack.payload).status == SummaryDeltaAckMsg::kApplied) {
         std::lock_guard lk(mu_);
-        record_last_sent_locked(std::move(*send), /*was_full=*/true);
+        record_last_sent_locked(std::move(*send), full);
       }
     } catch (const PeerUnreachable&) {
       // Dead neighbor: the summary itself is not lost — the state-based
@@ -1113,8 +1063,7 @@ void BrokerNode::refresh_memory_accounting() {
   memacct_.set(MemComponent::kSnapshotBuffers, snap_b);
   memacct_.set(MemComponent::kRedeliveryQueue, redeliver_b);
   memacct_.set(MemComponent::kOutboundQueues, governor_->usage());
-  memacct_.set(MemComponent::kTraceRing,
-               cfg_.trace_capacity * sizeof(obs::Span));
+  memacct_.set(MemComponent::kTraceRing, trace_ring_.capacity() * sizeof(obs::Span));
   memacct_.set(MemComponent::kFlightRing,
                flight_.capacity() * sizeof(obs::FrRecord));
   // Exemplar retention: the stage histograms plus the match histogram each
@@ -1313,7 +1262,7 @@ void BrokerNode::walk_step(EventMsg msg, size_t frame_bytes) {
           encode(DeliverMsg{cfg_.id, std::move(ids), msg.event, trace}, cfg_.schema);
       const uint64_t frame_size = payload.size();
       try {
-        rpc_to_peer(owner, MsgKind::kDeliver, payload, {MsgKind::kDeliverAck}, {}, trace);
+        rpc_to_peer(owner, MsgKind::kDeliver, payload, {}, trace);
         walk_metrics_.delivery_hops->inc();
         if (trace) {
           record_span({trace, cfg_.id, obs::Phase::kDeliver, owner,
@@ -1341,7 +1290,7 @@ void BrokerNode::walk_step(EventMsg msg, size_t frame_bytes) {
     const auto ack_budget = cfg_.rpc.io_timeout * static_cast<int>(remaining + 1);
     const auto payload = encode(msg, cfg_.schema);
     try {
-      rpc_to_peer(*next, MsgKind::kEvent, payload, {MsgKind::kEventAck}, ack_budget, trace);
+      rpc_to_peer(*next, MsgKind::kEvent, payload, ack_budget, trace);
       walk_metrics_.forward_hops->inc();
       if (trace) {
         record_span({trace, cfg_.id, obs::Phase::kForward, *next,
@@ -1396,8 +1345,7 @@ void BrokerNode::flush_pending_deliveries() {
                      obs::now_us(), pd.payload.size()});
       }
       try {
-        rpc_to_peer(pd.owner, MsgKind::kDeliver, pd.payload, {MsgKind::kDeliverAck}, {},
-                    pd.trace);
+        rpc_to_peer(pd.owner, MsgKind::kDeliver, pd.payload, {}, pd.trace);
         continue;
       } catch (const PeerUnreachable&) {
         down[pd.owner] = 1;
@@ -1415,7 +1363,6 @@ void BrokerNode::flush_pending_deliveries() {
 
 Frame BrokerNode::rpc_to_peer(BrokerId peer, MsgKind kind,
                               std::span<const std::byte> payload,
-                              std::initializer_list<MsgKind> acceptable_acks,
                               std::optional<std::chrono::milliseconds> ack_timeout,
                               uint64_t trace) {
   uint16_t port;
@@ -1432,6 +1379,8 @@ Frame BrokerNode::rpc_to_peer(BrokerId peer, MsgKind kind,
   // breaker early; this is the breaker-shaped face of "control traffic is
   // never shed".
   const bool data_plane = kind == MsgKind::kEvent || kind == MsgKind::kDeliver;
+  // Every peer request kind is acked by the kind numbered one above it.
+  const auto ack_kind = static_cast<MsgKind>(static_cast<uint8_t>(kind) + 1);
   if (data_plane && !governor_->breaker_allow(peer)) {
     throw PeerUnreachable(peer, "broker " + std::to_string(peer) +
                                     " skipped: circuit breaker open");
@@ -1446,10 +1395,7 @@ Frame BrokerNode::rpc_to_peer(BrokerId peer, MsgKind kind,
       s.set_recv_timeout(ack_timeout.value_or(cfg_.rpc.io_timeout));
       send_frame(s, kind, payload);
       auto ack = recv_frame(s);
-      if (!ack || std::find(acceptable_acks.begin(), acceptable_acks.end(), ack->kind) ==
-                      acceptable_acks.end()) {
-        throw NetError("peer did not acknowledge message");
-      }
+      if (!ack || ack->kind != ack_kind) throw NetError("peer did not acknowledge message");
       const uint64_t dt = obs::now_us() - t0;
       hist_peer_rpc_[peer]->observe(dt);
       if (data_plane) stages_.observe(obs::Stage::kRouteHop, dt, trace);

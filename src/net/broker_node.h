@@ -63,6 +63,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -120,7 +121,6 @@ struct BrokerConfig {
   overlay::Graph graph;  // the full overlay: ids, adjacency, degrees
   core::GeneralizePolicy policy = core::GeneralizePolicy::kSafe;
   uint64_t max_subs_per_broker = uint64_t{1} << 20;
-  uint8_t numeric_width = 8;
   uint16_t port = 0;  // 0 = ephemeral (in-process clusters); fixed for CLI use
   RpcPolicy rpc;
   /// Data directory for crash durability. Empty = ephemeral: no WAL, no
@@ -128,8 +128,6 @@ struct BrokerConfig {
   std::string data_dir;
   /// Compact (snapshot + WAL truncate) once this many records accumulate.
   uint64_t snapshot_wal_threshold = 256;
-  /// Spans retained in the trace ring (obs/trace.h); oldest overwritten.
-  size_t trace_capacity = 4096;
   /// Shadow-sampling fraction for the summary-quality probe: 1 in
   /// 2^quality_sample_shift events (by deterministic content hash) re-run
   /// the exact local oracle next to the summary match (core/quality.h).
@@ -346,33 +344,34 @@ class BrokerNode {
   void notify_owners(std::span<const model::SubId> ids, const model::Event& event,
                      uint64_t trace);
 
-  /// Connects, sends, and awaits an ack of a kind in `acceptable_acks`,
-  /// all under RpcPolicy deadlines, retrying with backoff; returns the ack
-  /// frame. Throws PeerUnreachable once the retry budget is spent.
-  /// `ack_timeout` overrides io_timeout for the ack wait (the kEvent ack
-  /// covers the peer's whole downstream walk). Each successful round-trip
-  /// lands in the per-peer latency histogram; each failed attempt bumps
-  /// the per-peer retry counter and, when `trace` is nonzero, records a
-  /// retry span. Accepting kError lets the delta path treat a v3 peer's
-  /// rejection as a negotiation signal rather than a fault.
+  /// Connects, sends, and awaits the ack of `kind` (the kind numbered one
+  /// above it, framing.h), all under RpcPolicy deadlines, retrying with
+  /// backoff; returns the ack frame. Any other reply, kError included,
+  /// fails the attempt. Throws PeerUnreachable once the retry budget is
+  /// spent. `ack_timeout` overrides io_timeout for the ack wait (the kEvent
+  /// ack covers the peer's whole downstream walk). Each successful
+  /// round-trip lands in the per-peer latency histogram; each failed
+  /// attempt bumps the per-peer retry counter and, when `trace` is
+  /// nonzero, records a retry span.
   Frame rpc_to_peer(overlay::BrokerId peer, MsgKind kind,
                     std::span<const std::byte> payload,
-                    std::initializer_list<MsgKind> acceptable_acks,
                     std::optional<std::chrono::milliseconds> ack_timeout = {},
                     uint64_t trace = 0);
 
-  /// Shared full-image ingest for kSummary frames and kSummarySync acks:
-  /// epoch anti-entropy, shadow refresh, merge, Merged_Brokers union.
+  /// Full-image ingest for kSummary frames and kSummarySync acks: shadow
+  /// refresh and merge, through ingest_locked.
   void ingest_full_summary(SummaryMsg msg);
 
-  /// Epoch anti-entropy for one announcement (full or delta) from `from`
-  /// stamped `epoch`, with `merged`/`epochs` its Merged_Brokers set and the
-  /// aligned epochs: counts a stale sender; otherwise drops the held rows
-  /// of `from` and of every listed broker seen at a newer incarnation.
-  /// Returns the sender's check. Caller holds mu_.
-  routing::EpochCheck check_epochs_locked(overlay::BrokerId from, uint64_t epoch,
-                                          const std::vector<overlay::BrokerId>& merged,
-                                          const std::vector<uint64_t>& epochs);
+  /// The ingest steps every announcement shares, for `msg` whose body is
+  /// stamped `epoch`. Marks the sender communicated this period and runs
+  /// the epoch check: a stale sender is counted and nothing else happens;
+  /// otherwise the held rows of the sender and of every listed broker seen
+  /// at a newer incarnation are dropped, and `fold(check)` folds the body
+  /// into the shadow and held_. When it returns true, the removal
+  /// piggyback, the Merged_Brokers union and the drift/occupancy exports
+  /// follow. Caller holds mu_.
+  void ingest_locked(SummaryEnvelope& msg, uint64_t epoch,
+                     const std::function<bool(routing::EpochCheck)>& fold);
 
   /// Removes one of this broker's own subscriptions everywhere (home
   /// table, held summary, subscriber, lease), queues the removal for the
@@ -475,7 +474,6 @@ class BrokerNode {
   std::vector<char> communicated_;               // per neighbor id, this period
   std::map<overlay::BrokerId, PeerShadow> shadows_;  // guarded by mu_
   std::map<overlay::BrokerId, LastSent> last_sent_;  // guarded by mu_
-  std::vector<char> peer_wants_full_;  // latched when a peer kErrors a delta (v3)
   bool held_dirty_ = false;       // rows were removed: rebuild at the boundary
   bool shadows_changed_ = false;  // a shadow image changed since the rebuild
   uint64_t publish_seq_ = 0;

@@ -42,7 +42,7 @@ void put_event(util::BufWriter& w, const model::Event& e) {
 }
 
 model::Event get_event(util::BufReader& r, const model::Schema& schema) {
-  const uint64_t n = r.get_varint();
+  const uint64_t n = r.get_count(2);  // varint attribute id, value >= 1 byte
   std::vector<model::EventAttr> attrs;
   attrs.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -63,7 +63,7 @@ void put_subscription(util::BufWriter& w, const model::Subscription& s) {
 }
 
 model::Subscription get_subscription(util::BufReader& r, const model::Schema& schema) {
-  const uint64_t n = r.get_varint();
+  const uint64_t n = r.get_count(3);  // varint attribute id, u8 op, operand >= 1 byte
   std::vector<model::Constraint> cs;
   cs.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -99,12 +99,39 @@ void put_sub_ids(util::BufWriter& w, const std::vector<model::SubId>& ids) {
   for (const auto& id : ids) put_sub_id(w, id);
 }
 
+// put_sub_id's smallest encoding: two u32s and a one-byte varint.
+constexpr size_t kMinSubIdBytes = 9;
+
 std::vector<model::SubId> get_sub_ids(util::BufReader& r) {
-  const uint64_t n = r.get_varint();
+  const uint64_t n = r.get_count(kMinSubIdBytes);
   std::vector<model::SubId> ids;
   ids.reserve(n);
   for (uint64_t i = 0; i < n; ++i) ids.push_back(get_sub_id(r));
   return ids;
+}
+
+void put_envelope(util::BufWriter& w, const SummaryEnvelope& m,
+                  std::span<const std::byte> body) {
+  w.put_u32(m.from);
+  w.put_varint(m.merged_brokers.size());
+  for (auto id : m.merged_brokers) w.put_u32(id);
+  for (size_t i = 0; i < m.merged_brokers.size(); ++i) {
+    w.put_u64(i < m.epochs.size() ? m.epochs[i] : 0);
+  }
+  put_sub_ids(w, m.removals);
+  w.put_varint(body.size());
+  w.put_bytes(body);
+}
+
+/// Reads the envelope into `m` and returns the body blob.
+std::vector<std::byte> get_envelope(util::BufReader& r, SummaryEnvelope& m) {
+  m.from = r.get_u32();
+  const uint64_t nb = r.get_varint();
+  for (uint64_t i = 0; i < nb; ++i) m.merged_brokers.push_back(r.get_u32());
+  for (uint64_t i = 0; i < nb; ++i) m.epochs.push_back(r.get_u64());
+  m.removals = get_sub_ids(r);
+  const auto body = r.get_bytes(r.get_varint());
+  return {body.begin(), body.end()};
 }
 
 }  // namespace
@@ -147,17 +174,7 @@ ErrorMsg decode_error_msg(std::span<const std::byte> b) {
 
 std::vector<std::byte> encode(const SummaryMsg& m) {
   util::BufWriter w;
-  w.put_u32(m.from);
-  w.put_varint(m.merged_brokers.size());
-  for (auto id : m.merged_brokers) w.put_u32(id);
-  for (size_t i = 0; i < m.merged_brokers.size(); ++i) {
-    w.put_u64(i < m.epochs.size() ? m.epochs[i] : 0);
-  }
-  put_sub_ids(w, m.removals);
-  w.put_varint(m.summary.size());
-  w.put_bytes(m.summary);
-  // v4 trailing fields; v3 decoders stop at the summary bytes and ignore
-  // them, v3 frames leave them at 0.
+  put_envelope(w, m, m.summary);
   w.put_u64(m.version);
   w.put_u64(m.digest);
   return std::move(w).take();
@@ -166,46 +183,22 @@ std::vector<std::byte> encode(const SummaryMsg& m) {
 SummaryMsg decode_summary_msg(std::span<const std::byte> b) {
   util::BufReader r(b);
   SummaryMsg m;
-  m.from = r.get_u32();
-  const uint64_t nb = r.get_varint();
-  for (uint64_t i = 0; i < nb; ++i) m.merged_brokers.push_back(r.get_u32());
-  for (uint64_t i = 0; i < nb; ++i) m.epochs.push_back(r.get_u64());
-  m.removals = get_sub_ids(r);
-  const uint64_t len = r.get_varint();
-  const auto bytes = r.get_bytes(len);
-  m.summary.assign(bytes.begin(), bytes.end());
-  if (r.remaining() >= 16) {  // absent in v3 frames -> 0
-    m.version = r.get_u64();
-    m.digest = r.get_u64();
-  }
+  m.summary = get_envelope(r, m);
+  m.version = r.get_u64();
+  m.digest = r.get_u64();
   return m;
 }
 
 std::vector<std::byte> encode(const SummaryDeltaMsg& m) {
   util::BufWriter w;
-  w.put_u32(m.from);
-  w.put_varint(m.merged_brokers.size());
-  for (auto id : m.merged_brokers) w.put_u32(id);
-  for (size_t i = 0; i < m.merged_brokers.size(); ++i) {
-    w.put_u64(i < m.epochs.size() ? m.epochs[i] : 0);
-  }
-  put_sub_ids(w, m.removals);
-  w.put_varint(m.delta.size());
-  w.put_bytes(m.delta);
+  put_envelope(w, m, m.delta);
   return std::move(w).take();
 }
 
 SummaryDeltaMsg decode_summary_delta_msg(std::span<const std::byte> b) {
   util::BufReader r(b);
   SummaryDeltaMsg m;
-  m.from = r.get_u32();
-  const uint64_t nb = r.get_varint();
-  for (uint64_t i = 0; i < nb; ++i) m.merged_brokers.push_back(r.get_u32());
-  for (uint64_t i = 0; i < nb; ++i) m.epochs.push_back(r.get_u64());
-  m.removals = get_sub_ids(r);
-  const uint64_t len = r.get_varint();
-  const auto bytes = r.get_bytes(len);
-  m.delta.assign(bytes.begin(), bytes.end());
+  m.delta = get_envelope(r, m);
   return m;
 }
 

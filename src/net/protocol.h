@@ -54,27 +54,27 @@ struct ErrorMsg {
   uint32_t retry_after_ms = 0;  // 0 = no hint
 };
 
-struct SummaryMsg {
+/// The envelope every summary announcement shares (kSummary,
+/// kSummaryDelta, kSummarySyncAck). On the wire it precedes the
+/// length-prefixed body blob, and one encoder/decoder pair codes it.
+struct SummaryEnvelope {
   overlay::BrokerId from = 0;
   std::vector<overlay::BrokerId> merged_brokers;
-  std::vector<uint64_t> epochs;           // aligned with merged_brokers; 0 = ephemeral
-  std::vector<model::SubId> removals;     // maintenance piggyback
-  std::vector<std::byte> summary;         // core/serialize wire format
-  /// v4 trailing fields: the sender's summary version and image digest at
-  /// encode time, used to seed the receiver's shadow for later delta
-  /// bases. Absent (0) on frames from v3 peers.
+  std::vector<uint64_t> epochs;        // aligned with merged_brokers; 0 = ephemeral
+  std::vector<model::SubId> removals;  // maintenance piggyback
+};
+
+struct SummaryMsg : SummaryEnvelope {
+  std::vector<std::byte> summary;  // core/serialize wire format
+  /// Trailing fields: the sender's summary version and image digest at
+  /// encode time, which seed the receiver's shadow for later delta bases.
   uint64_t version = 0;
   uint64_t digest = 0;
 };
 
-/// v4 delta announcement: same envelope as SummaryMsg, but the payload is a
-/// core/delta wire blob (its DeltaHeader carries epoch, base/new versions
-/// and digests).
-struct SummaryDeltaMsg {
-  overlay::BrokerId from = 0;
-  std::vector<overlay::BrokerId> merged_brokers;
-  std::vector<uint64_t> epochs;
-  std::vector<model::SubId> removals;
+/// v4 delta announcement: the body is a core/delta wire blob (its
+/// DeltaHeader carries epoch, base/new versions and digests).
+struct SummaryDeltaMsg : SummaryEnvelope {
   std::vector<std::byte> delta;  // core/delta wire format
 };
 

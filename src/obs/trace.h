@@ -70,6 +70,9 @@ class TraceRing {
   /// Spans ever appended (including overwritten ones).
   [[nodiscard]] uint64_t appended() const;
 
+  /// Spans the ring holds before it overwrites the oldest.
+  [[nodiscard]] size_t capacity() const noexcept { return capacity_; }
+
   /// Spans currently retained (== min(appended since clear, capacity)).
   [[nodiscard]] uint64_t retained() const;
 

@@ -30,7 +30,6 @@ SimSystem::SimSystem(SystemConfig cfg)
       wire_{model::SubIdCodec(static_cast<uint32_t>(cfg_.graph.size()),
                               cfg_.max_subs_per_broker, cfg_.schema.attr_count()),
             cfg_.numeric_width},
-      trace_ring_(cfg_.trace_capacity),
       walk_metrics_(metrics_),
       probe_(metrics_, core::SampleConfig{cfg_.quality_sample_shift}) {
   const size_t n = cfg_.graph.size();

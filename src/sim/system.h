@@ -65,7 +65,6 @@ struct SystemConfig {
   /// span logs — including through publish_batch, whose spans are folded
   /// into the ring in event order at the barrier.
   bool trace = false;
-  size_t trace_capacity = 4096;
   /// Shadow-sampling fraction for the summary-quality probe: 1 in
   /// 2^quality_sample_shift events (by deterministic content hash) get the
   /// exact oracle re-run next to the summary match, feeding

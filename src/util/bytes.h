@@ -102,6 +102,17 @@ class BufReader {
     throw DecodeError("varint too long");
   }
 
+  /// Varint element count of a list whose items take at least
+  /// `min_item_bytes` (>= 1) each on the wire. A count the remaining bytes
+  /// cannot hold throws, so callers may size allocations by the result.
+  uint64_t get_count(size_t min_item_bytes) {
+    const uint64_t n = get_varint();
+    if (n > remaining() / min_item_bytes) {
+      throw DecodeError("count longer than payload");
+    }
+    return n;
+  }
+
   std::string get_string() {
     uint64_t n = get_varint();
     auto b = take(n);

@@ -1,10 +1,12 @@
 // Partial-frame property test across ALL frame kinds: a valid frame
-// truncated at any byte offset — or a full-length frame of junk — must
-// never crash the broker or mutate its state. Extends the kSummary-only
-// integrity tests in test_fault.cpp to the whole protocol surface.
+// truncated at any byte offset — or a full-length frame of junk, or a list
+// count far beyond its payload — must never crash the broker or mutate
+// its state. Extends the kSummary-only integrity tests in test_fault.cpp
+// to the whole protocol surface.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -147,6 +149,74 @@ std::vector<std::pair<MsgKind, std::vector<std::byte>>> valid_payloads(
   return out;
 }
 
+/// One payload per kind that carries a list, whose count claims 2^40
+/// entries in six bytes followed by six zero bytes: no decoder may size an
+/// allocation by the count before checking it against the payload.
+std::vector<std::pair<MsgKind, std::vector<std::byte>>> count_bomb_payloads(size_t brokers) {
+  const auto bomb = [](std::span<const std::byte> prefix) {
+    util::BufWriter w;
+    w.put_bytes(prefix);
+    w.put_varint(uint64_t{1} << 40);
+    for (int i = 0; i < 6; ++i) w.put_u8(0);
+    return std::move(w).take();
+  };
+  util::BufWriter event_prefix;  // origin, seq, BROCLI; then the attribute count
+  event_prefix.put_u32(1);
+  event_prefix.put_u64(42);
+  const auto brocli = routing::make_bitmap(brokers);
+  event_prefix.put_varint(brocli.size());
+  event_prefix.put_bytes(brocli);
+  util::BufWriter deliver_prefix;  // examining broker; then the id count
+  deliver_prefix.put_u32(1);
+  return {
+      {MsgKind::kSubscribe, bomb({})},  // constraint count
+      {MsgKind::kAttach, bomb({})},     // id counts
+      {MsgKind::kLeaseRenew, bomb({})},
+      {MsgKind::kPublish, bomb({})},  // event attribute count
+      {MsgKind::kEvent, bomb(event_prefix.bytes())},
+      {MsgKind::kDeliver, bomb(deliver_prefix.bytes())},
+      {MsgKind::kNotify, bomb({})},
+  };
+}
+
+/// Decodes `payload` the way its receiver does.
+void decode_as(MsgKind kind, std::span<const std::byte> payload, const Schema& s) {
+  util::BufReader r(payload);
+  switch (kind) {
+    case MsgKind::kSubscribe:
+      (void)get_subscription(r, s);
+      return;
+    case MsgKind::kAttach:
+      (void)decode_attach_msg(payload);
+      return;
+    case MsgKind::kLeaseRenew:
+      (void)decode_lease_renew_msg(payload);
+      return;
+    case MsgKind::kPublish:
+      (void)get_event(r, s);
+      return;
+    case MsgKind::kEvent:
+      (void)decode_event_msg(payload, s);
+      return;
+    case MsgKind::kDeliver:
+      (void)decode_deliver_msg(payload, s);
+      return;
+    case MsgKind::kNotify:
+      (void)decode_notify_msg(payload, s);
+      return;
+    default:
+      FAIL() << "no decoder for kind " << static_cast<int>(kind);
+  }
+}
+
+TEST(Protocol, WireCountsBeyondPayloadThrow) {
+  const Schema s = schema_v();
+  for (const auto& bomb : count_bomb_payloads(2)) {
+    EXPECT_THROW(decode_as(bomb.first, bomb.second, s), util::DecodeError)
+        << "kind " << static_cast<int>(bomb.first);
+  }
+}
+
 TEST(FrameIntegrity, AnyTruncationOfAnyKindNeverCrashesOrMutatesState) {
   const Schema s = schema_v();
   Cluster cluster(s, overlay::line(2), core::GeneralizePolicy::kSafe, tight_policy());
@@ -189,11 +259,15 @@ TEST(FrameIntegrity, FullLengthJunkPayloadsAreRejectedWithoutMutation) {
   ASSERT_TRUE(cluster.run_propagation_period().complete());
   const auto before = cluster.node(1).snapshot();
 
-  // All-0xFF payloads overflow every varint/length field on decode; the
-  // broker must reject the frame (dropping the connection is fine) with
-  // its state untouched.
+  // All-0xFF payloads overflow every varint/length field on decode, and
+  // count bombs claim lists far longer than their payloads; the broker
+  // must reject the frame (dropping the connection is fine) with its state
+  // untouched.
+  auto frames = count_bomb_payloads(cluster.size());
   for (const auto& [kind, payload] : valid_payloads(s, cluster.size())) {
-    const std::vector<std::byte> junk(payload.size() + 16, std::byte{0xFF});
+    frames.emplace_back(kind, std::vector<std::byte>(payload.size() + 16, std::byte{0xFF}));
+  }
+  for (const auto& [kind, junk] : frames) {
     Socket raw = connect_patiently(cluster.port_of(1));
     raw.set_recv_timeout(2000ms);
     send_frame(raw, kind, junk);

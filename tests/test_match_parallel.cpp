@@ -1,14 +1,15 @@
 // Property tests for the batched/parallel matching engine: the heap-merge +
 // dense-counter match_into() must agree with the reference implementation
-// and the naive oracle; BatchMatcher and SimSystem::publish_batch must be
-// indistinguishable from the sequential loops at every thread count.
+// and the naive oracle; the pooled batch loop tools/bench_json measures and
+// SimSystem::publish_batch must be indistinguishable from the sequential
+// loops at every thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <span>
 
-#include "core/batch_matcher.h"
 #include "core/matcher.h"
 #include "overlay/topologies.h"
 #include "sim/system.h"
@@ -102,6 +103,28 @@ TEST(MatchEngine, EmptySummaryAndEmptyEvent) {
   EXPECT_TRUE(core::match_into(w.summary, none, scratch).empty());
 }
 
+/// The batch loop tools/bench_json measures: one contiguous chunk of
+/// events per pool worker, each matched with its own MatchScratch
+/// (`scratch[s]`, persistent across calls).
+void match_batch(util::ThreadPool& pool, std::vector<core::MatchScratch>& scratch,
+                 const BrokerSummary& summary, std::span<const Event> events,
+                 std::vector<std::vector<SubId>>& results,
+                 std::vector<core::MatchDiag>& diags) {
+  scratch.resize(pool.concurrency());
+  results.resize(events.size());
+  diags.resize(events.size());
+  const size_t chunk = (events.size() + scratch.size() - 1) / scratch.size();
+  for (size_t s = 0; s * chunk < events.size(); ++s) {
+    pool.submit([&, s] {
+      for (size_t i = s * chunk; i < std::min(events.size(), (s + 1) * chunk); ++i) {
+        const auto ids = core::match_into(summary, events[i], scratch[s], &diags[i]);
+        results[i].assign(ids.begin(), ids.end());
+      }
+    });
+  }
+  pool.wait();
+}
+
 TEST(BatchMatcher, EqualsSequentialAcrossThreadCounts) {
   for (const AacsMode mode : {AacsMode::kExact, AacsMode::kCoarse}) {
     Workload w(500, 3, mode, 0.3, 99);
@@ -114,18 +137,19 @@ TEST(BatchMatcher, EqualsSequentialAcrossThreadCounts) {
     }
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
       util::ThreadPool pool(threads);
-      core::BatchMatcher bm(pool);
+      std::vector<core::MatchScratch> scratch;
+      std::vector<std::vector<SubId>> got;
       std::vector<core::MatchDiag> diags;
-      const auto got = bm.match_batch(w.summary, w.events, &diags);
+      match_batch(pool, scratch, w.summary, w.events, got, diags);
       ASSERT_EQ(got, want) << "threads=" << threads;
       ASSERT_EQ(diags.size(), want_diags.size());
       for (size_t i = 0; i < diags.size(); ++i) {
         EXPECT_EQ(diags[i].ids_collected, want_diags[i].ids_collected);
         EXPECT_EQ(diags[i].unique_ids, want_diags[i].unique_ids);
       }
-      // Re-running on the same (warm) matcher must be stable.
+      // Re-running on the same (warm) scratches must be stable.
       std::vector<std::vector<SubId>> again;
-      bm.match_batch(w.summary, w.events, again);
+      match_batch(pool, scratch, w.summary, w.events, again, diags);
       EXPECT_EQ(again, want);
     }
   }

@@ -295,6 +295,14 @@ TEST(BrokerNode, ClosingOldConnectionKeepsReattachedBinding) {
   ASSERT_TRUE(ack.has_value());
   ASSERT_EQ(ack->kind, MsgKind::kAttachAck);
 
+  // A handler thread takes its connection's governor slot asynchronously
+  // (the publisher has made no RPC yet): sample the count only once all
+  // three connections hold one.
+  const auto admitted_by = std::chrono::steady_clock::now() + 5s;
+  while (cluster.node(0).governor().connections() < 3) {
+    ASSERT_LT(std::chrono::steady_clock::now(), admitted_by) << "connections never admitted";
+    std::this_thread::sleep_for(5ms);
+  }
   const uint64_t before = cluster.node(0).governor().connections();
   old_conn.reset();
   const auto deadline = std::chrono::steady_clock::now() + 5s;

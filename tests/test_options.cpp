@@ -6,6 +6,7 @@
 
 #include <set>
 
+#include "core/delta.h"
 #include "core/matcher.h"
 #include "core/serialize.h"
 #include "overlay/topologies.h"
@@ -338,6 +339,12 @@ TEST(SerializeFuzz, RandomBytesNeverCrash) {
     } catch (const util::DecodeError&) {
     } catch (const std::invalid_argument&) {
     }
+    try {
+      const auto delta = core::decode_delta(junk, s);
+      (void)delta;
+    } catch (const util::DecodeError&) {
+    } catch (const std::invalid_argument&) {
+    }
   }
 }
 
@@ -345,21 +352,43 @@ TEST(SerializeFuzz, MutatedValidSummariesNeverCrash) {
   const Schema s = schema_v();
   workload::SubscriptionGenerator gen(s, {}, 77);
   BrokerSummary summary(s);
+  // A delta from the first 14 subscriptions to the last 14 drops rows,
+  // adds ids and deletes ids.
+  BrokerSummary base(s);
+  BrokerSummary target(s);
   for (uint32_t i = 0; i < 20; ++i) {
     const auto sub = gen.next();
     summary.add(sub, SubId{1, i, sub.mask()});
+    if (i < 14) base.add(sub, SubId{1, i, sub.mask()});
+    if (i >= 6) target.add(sub, SubId{1, i, sub.mask()});
   }
   const core::WireConfig wire{model::SubIdCodec(24, 1u << 10, s.attr_count()), 8};
   const auto good = core::encode_summary(summary, wire);
-  util::Rng rng(617);
-  for (int trial = 0; trial < 2000; ++trial) {
-    auto bad = good;
+  const auto good_delta = core::encode_delta(
+      core::diff_images(core::extract_image(base), core::extract_image(target)), s, wire, {});
+  const auto mutate = [](std::vector<std::byte> bytes, util::Rng& rng) {
     const size_t flips = 1 + rng.below(4);
     for (size_t i = 0; i < flips; ++i) {
-      bad[rng.below(bad.size())] ^= std::byte{static_cast<uint8_t>(1 + rng.below(255))};
+      bytes[rng.below(bytes.size())] ^= std::byte{static_cast<uint8_t>(1 + rng.below(255))};
     }
+    return bytes;
+  };
+  util::Rng rng(617);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto bad = mutate(good, rng);
     try {
       const auto decoded = core::decode_summary(bad, s);
+      (void)decoded;
+    } catch (const util::DecodeError&) {
+    } catch (const std::invalid_argument&) {
+    } catch (const std::range_error&) {
+    }
+  }
+  util::Rng delta_rng(618);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto bad = mutate(good_delta, delta_rng);
+    try {
+      const auto decoded = core::decode_delta(bad, s);
       (void)decoded;
     } catch (const util::DecodeError&) {
     } catch (const std::invalid_argument&) {

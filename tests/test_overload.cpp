@@ -326,6 +326,60 @@ TEST(Admission, ConnectionCapRefusesExcessConnections) {
   first->publish(EventBuilder(s).set("symbol", "c").build());
 }
 
+TEST(Admission, ConnectionCapRefusalKeepsDeltaAnnouncements) {
+  // A broker at its connection cap answers any connection, a summary
+  // announcement's included, with kError. That refuses one attempt; it is
+  // not a verdict on the link, so once slots free up the sender goes on
+  // announcing deltas against the base the receiver still holds.
+  const Schema s = schema_v();
+  Cluster cluster(s, overlay::line(2), core::GeneralizePolicy::kSafe, tight_policy(), {},
+                  [](BrokerConfig& cfg) {
+                    if (cfg.id == 1) cfg.governor.max_connections = 3;
+                  });
+  auto client = cluster.connect(0, tight_client());
+  int next_symbol = 0;
+  const auto subscribe_one = [&] {
+    client->subscribe(SubscriptionBuilder(s)
+                          .where("symbol", Op::kEq, "s" + std::to_string(next_symbol++))
+                          .build());
+  };
+  // Enough rows at broker 0 that a one-subscription delta pays for itself.
+  for (int i = 0; i < 200; ++i) subscribe_one();
+  ASSERT_TRUE(cluster.run_propagation_period().complete());  // full image
+  ASSERT_TRUE(cluster.run_propagation_period().complete());  // delta
+  const auto& m = cluster.node(0).metrics();
+  const auto wait_for_connections = [&](uint64_t n) {
+    for (int i = 0; i < 200 && cluster.node(1).governor().connections() != n; ++i) {
+      std::this_thread::sleep_for(10ms);
+    }
+    ASSERT_EQ(cluster.node(1).governor().connections(), n);
+  };
+  {
+    // Broker 1's three slots stay taken through one period in which broker
+    // 0 has a change to announce: that announcement is refused. Handlers of
+    // the last period's connections release their slots asynchronously.
+    wait_for_connections(0);
+    std::vector<Socket> held;
+    for (int i = 0; i < 3; ++i) held.push_back(connect_local(cluster.port_of(1), 500ms));
+    wait_for_connections(3);
+    subscribe_one();
+    (void)cluster.run_propagation_period();
+  }
+  wait_for_connections(0);
+  [[maybe_unused]] const uint64_t deltas = m.counter_value("subsum_summary_delta_sends_total");
+  [[maybe_unused]] const uint64_t fulls = m.counter_value("subsum_summary_full_sends_total");
+  for (int i = 0; i < 3; ++i) {
+    subscribe_one();
+    ASSERT_TRUE(cluster.run_propagation_period().complete());
+  }
+#ifndef SUBSUM_NO_TELEMETRY
+  EXPECT_EQ(m.counter_value("subsum_summary_delta_sends_total"), deltas + 3);
+  EXPECT_EQ(m.counter_value("subsum_summary_full_sends_total"), fulls);
+#endif
+  // The link converged either way: broker 1 mirrors what broker 0 holds.
+  EXPECT_EQ(cluster.node(1).shadow_digests().at(0), cluster.node(0).held_digest());
+}
+
 // --- slow-consumer policy end to end -----------------------------------------
 
 TEST(SlowConsumer, BoundedQueueDropsOldestThenDisconnectsStalledReader) {

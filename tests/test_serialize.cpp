@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <sstream>
+
+#include "core/delta.h"
 #include "core/matcher.h"
 #include "core/serialize.h"
+#include "net/protocol.h"
+#include "util/crc32c.h"
 #include "workload/event_gen.h"
 #include "workload/stock_schema.h"
 #include "workload/sub_gen.h"
@@ -130,11 +136,96 @@ TEST(Serialize, MalformedInputsThrow) {
   EXPECT_THROW(decode_summary(bad, s), util::DecodeError);
 
   // A c1 width no uint32 broker count produces (version, epoch and numeric
-  // width precede it in the header).
+  // width precede it in the header), in a full image and in a delta, whose
+  // header has five u64 fields where the image has its epoch.
+  const auto good_delta = encode_delta(
+      diff_images(extract_image(BrokerSummary(s)), extract_image(sample_summary(s))), s,
+      wire8(s), {});
   for (const uint8_t c1 : {33, 40, 63, 64, 255}) {
     bad = good;
     bad[1 + 8 + 1] = std::byte{c1};
     EXPECT_THROW(decode_summary(bad, s), util::DecodeError) << "c1 " << int{c1};
+    bad = good_delta;
+    bad[1 + 5 * 8 + 1] = std::byte{c1};
+    EXPECT_THROW(decode_delta(bad, s), util::DecodeError) << "delta c1 " << int{c1};
+  }
+}
+
+/// Pins the summary-plane wire bytes: full images at both numeric widths
+/// (±inf, open, closed and point pieces; SACS eq and pattern rows), a
+/// delta with drop, add and del edits, and the kSummary / kSummaryDelta
+/// frames that carry them. A mismatch is a wire-format change, which peers
+/// and data dirs written by older builds cannot read (docs/PROTOCOL.md).
+TEST(Serialize, WireBytesAreStable) {
+  const Schema s = schema_v();
+  BrokerSummary summary(s);
+  const Subscription open_and_eq = SubscriptionBuilder(s)
+                                       .where("price", Op::kGt, 8.25)
+                                       .where("price", Op::kLt, 8.75)
+                                       .where("symbol", Op::kEq, "OTE")
+                                       .build();
+  const Subscription point_and_pattern = SubscriptionBuilder(s)
+                                             .where("price", Op::kEq, 8.5)
+                                             .where("volume", Op::kGe, int64_t{131072})
+                                             .where("symbol", Op::kPrefix, "OT")
+                                             .where("exchange", Op::kNe, "NASDAQ")
+                                             .build();
+  const Subscription infinite = SubscriptionBuilder(s)
+                                    .where("when", Op::kNe, int64_t{0})
+                                    .where("low", Op::kLe, 10.5)
+                                    .where("sector", Op::kContains, "tech")
+                                    .where("currency", Op::kSuffix, "D")
+                                    .build();
+  summary.add(open_and_eq, SubId{3, 7, open_and_eq.mask()});
+  summary.add(point_and_pattern, SubId{3, 8, point_and_pattern.mask()});
+  summary.add(infinite, SubId{11, 2, infinite.mask()});
+  const WireConfig w8 = wire8(s);
+  const WireConfig w4{SubIdCodec(24, 1u << 20, s.attr_count()), 4};
+
+  SummaryDelta delta;
+  delta.arith.resize(s.attr_count());
+  delta.strings.resize(s.attr_count());
+  delta.arith[s.id_of("price")] = {
+      {Interval{Pos::at(8.5), Pos::at(8.5)}, true, {}, {}},
+      {Interval{Pos::at(1.0).succ(), Pos::pos_inf()}, false, {SubId{3, 9, 0x60}}, {}},
+      {Interval{Pos::neg_inf(), Pos::at(2.0)}, false, {}, {SubId{11, 2, 0x31c}}}};
+  delta.strings[s.id_of("symbol")] = {
+      {StringPattern{Op::kEq, "OTE"}, true, {}, {}},
+      {StringPattern{Op::kPrefix, "OT"}, false, {SubId{3, 9, 0x60}}, {SubId{3, 8, 0x63}}}};
+  DeltaHeader hdr{5, 17, 18, 0x1234'5678'9abc'def0ull, 0x0fed'cba9'8765'4321ull};
+  const auto delta_bytes = encode_delta(delta, s, w8, hdr);
+
+  net::SummaryMsg full_frame;
+  full_frame.from = 3;
+  full_frame.merged_brokers = {3, 11};
+  full_frame.epochs = {5, 0};
+  full_frame.removals = {SubId{3, 6, 0x21}};
+  full_frame.summary = encode_summary(summary, w8, 5);
+  full_frame.version = 18;
+  full_frame.digest = summary_digest(summary);
+  net::SummaryDeltaMsg delta_frame;
+  delta_frame.from = 3;
+  delta_frame.merged_brokers = {3, 11};
+  delta_frame.epochs = {5, 0};
+  delta_frame.removals = {SubId{3, 6, 0x21}};
+  delta_frame.delta = delta_bytes;
+
+  const std::vector<std::pair<const char*, std::vector<std::byte>>> corpus = {
+      {"summary_w8", encode_summary(summary, w8, 5)},
+      {"summary_w4", encode_summary(summary, w4, 5)},
+      {"delta", delta_bytes},
+      {"kSummary", net::encode(full_frame)},
+      {"kSummaryDelta", net::encode(delta_frame)},
+  };
+  const std::vector<uint32_t> want = {0xacb692db, 0xcb3caa19, 0x259a0178, 0xa94a78a2,
+                                      0x597f7d42};
+  ASSERT_EQ(corpus.size(), want.size());
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    std::ostringstream got;
+    got << "0x" << std::hex << std::setw(8) << std::setfill('0')
+        << util::crc32c(corpus[i].second) << " over " << std::dec
+        << corpus[i].second.size() << " bytes";
+    EXPECT_EQ(util::crc32c(corpus[i].second), want[i]) << corpus[i].first << ": " << got.str();
   }
 }
 

@@ -27,11 +27,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/batch_matcher.h"
 #include "core/frozen_index.h"
 #include "core/matcher.h"
 #include "obs/metrics.h"
@@ -163,6 +163,26 @@ void run_matrix_point(size_t n, double subsumption, size_t n_events, int repeat,
   if (idx) m.put(prefix + "shards", static_cast<double>(idx->shard_count()));
 }
 
+/// Matches `events` across `pool`: one contiguous chunk per worker, each
+/// with its own MatchScratch (`scratch[s]`, persistent across calls), so a
+/// warm run allocates nothing per event beyond the result vectors.
+void match_batch(util::ThreadPool& pool, std::vector<core::MatchScratch>& scratch,
+                 const core::BrokerSummary& summary, std::span<const model::Event> events,
+                 std::vector<std::vector<model::SubId>>& results) {
+  scratch.resize(pool.concurrency());
+  results.resize(events.size());
+  const size_t chunk = (events.size() + scratch.size() - 1) / scratch.size();
+  for (size_t s = 0; s * chunk < events.size(); ++s) {
+    pool.submit([&, s] {
+      for (size_t i = s * chunk; i < std::min(events.size(), (s + 1) * chunk); ++i) {
+        const auto ids = core::match_into(summary, events[i], scratch[s]);
+        results[i].assign(ids.begin(), ids.end());
+      }
+    });
+  }
+  pool.wait();
+}
+
 void run_thread_scaling(size_t n, double subsumption, size_t n_events, int repeat,
                         Metrics& m) {
   const model::Schema schema = workload::stock_schema();
@@ -178,13 +198,17 @@ void run_thread_scaling(size_t n, double subsumption, size_t n_events, int repea
   std::vector<model::Event> events;
   for (size_t i = 0; i < n_events; ++i) events.push_back(egen.next());
 
+  // Freeze the index once, here, so the workers do not race to build
+  // identical copies of it on their first events.
+  (void)summary.frozen_for_match();
   const std::vector<size_t> thread_counts = {1, 2, 4, 8};
   for (const size_t t : thread_counts) {
     util::ThreadPool pool(t);
-    core::BatchMatcher matcher(pool);
+    std::vector<core::MatchScratch> scratch;
     std::vector<std::vector<model::SubId>> results;
-    matcher.match_batch(summary, events, results);  // warm up pool + scratches
-    const double s = best_of(repeat, [&] { matcher.match_batch(summary, events, results); });
+    match_batch(pool, scratch, summary, events, results);  // warm up pool + scratches
+    const double s =
+        best_of(repeat, [&] { match_batch(pool, scratch, summary, events, results); });
     m.put("batch_match.events_per_sec_t" + std::to_string(t),
           static_cast<double>(events.size()) / s);
   }
