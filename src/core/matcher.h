@@ -19,7 +19,8 @@
 //    allocations.
 //  * match_reference() — the original straightforward implementation,
 //    kept verbatim as the differential-testing oracle and as the "seed"
-//    comparison point in bench/bench_matching and tools/bench_json.
+//    comparison point in bench/bench_matching and tools/bench_json. No
+//    broker or simulator path calls it at runtime.
 //
 // match() keeps the historic signature as a thin wrapper over match_into()
 // with a per-thread scratch.

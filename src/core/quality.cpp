@@ -9,72 +9,18 @@
 
 namespace subsum::core {
 
-namespace {
-
-// FNV-1a, 64-bit: simple, stable across platforms, and good enough to make
-// the 1-in-2^shift sample behave like an unbiased draw on real workloads.
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t fnv_bytes(uint64_t h, const void* data, size_t n) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
-
-uint64_t fnv_u64(uint64_t h, uint64_t v) noexcept { return fnv_bytes(h, &v, sizeof v); }
-
-}  // namespace
-
-uint64_t event_hash(const model::Event& event) noexcept {
-  // Event attrs are stored sorted by AttrId with at most one value each, so
-  // hashing in storage order is hashing in canonical order.
-  uint64_t h = kFnvOffset;
-  for (const auto& a : event.attrs()) {
-    h = fnv_u64(h, a.attr);
-    h = fnv_u64(h, static_cast<uint64_t>(a.value.type()));
-    switch (a.value.type()) {
-      case model::AttrType::kInt:
-        h = fnv_u64(h, static_cast<uint64_t>(a.value.as_int()));
-        break;
-      case model::AttrType::kFloat: {
-        const double d = a.value.as_float();
-        h = fnv_bytes(h, &d, sizeof d);
-        break;
-      }
-      case model::AttrType::kString: {
-        const std::string& s = a.value.as_string();
-        h = fnv_u64(h, s.size());
-        h = fnv_bytes(h, s.data(), s.size());
-        break;
-      }
-    }
-  }
-  return h;
-}
-
-QualityProbe::QualityProbe(obs::MetricsRegistry& reg, SampleConfig cfg)
-    : cfg_(cfg),
-      sampled_(reg.counter("subsum_quality_sampled_events_total")),
-      candidates_(reg.counter("subsum_quality_candidate_ids_total")),
+QualityProbe::QualityProbe(obs::MetricsRegistry& reg)
+    : candidates_(reg.counter("subsum_quality_candidate_ids_total")),
       exact_(reg.counter("subsum_quality_exact_ids_total")),
       false_pos_(reg.counter("subsum_summary_false_positive_ids_total")),
-      divergence_(reg.counter("subsum_quality_engine_divergence_total")),
       precision_g_(reg.fgauge("subsum_summary_precision")) {
   precision_g_->set(1.0);
 }
 
-void QualityProbe::record(size_t candidate_ids, size_t exact_ids,
-                          bool engine_diverged) const noexcept {
-  if (exact_ids > candidate_ids) {  // impossible by construction; never hide it
-    engine_diverged = true;
-    exact_ids = candidate_ids;
-  }
-  sampled_->inc();
+void QualityProbe::record(size_t candidate_ids, size_t exact_ids) const noexcept {
   candidates_->inc(candidate_ids);
   exact_->inc(exact_ids);
   false_pos_->inc(candidate_ids - exact_ids);
-  if (engine_diverged) divergence_->inc();
   precision_g_->set(precision());
 }
 

@@ -26,7 +26,7 @@ BrokerNode::BrokerNode(BrokerConfig cfg)
       held_(cfg_.schema, cfg_.policy),
       flight_(cfg_.id, cfg_.flight_capacity),
       stages_(metrics_),
-      probe_(metrics_, core::SampleConfig{cfg_.quality_sample_shift}),
+      probe_(metrics_),
       walk_metrics_(metrics_),
       started_at_(std::chrono::steady_clock::now()) {
   if (cfg_.id >= cfg_.graph.size()) throw std::invalid_argument("broker id outside graph");
@@ -39,6 +39,7 @@ BrokerNode::BrokerNode(BrokerConfig cfg)
   }
   merged_brokers_ = {cfg_.id};
   communicated_.assign(cfg_.graph.size(), 0);
+  sink_ = !routing::send_target(cfg_.graph, cfg_.id, communicated_);
 
   // Pre-register every hot-path metric handle; after this, instrument code
   // only does relaxed atomic adds (obs/metrics.h).
@@ -226,12 +227,18 @@ BrokerNode::Snapshot BrokerNode::snapshot() const {
   s.pending_redeliveries = pending_deliveries_.size();
   s.epoch = epoch_;
   s.active_leases = home_.lease_count();
+  s.pending_removals = pending_removals_.size();
   return s;
 }
 
 uint64_t BrokerNode::held_digest() const {
   std::lock_guard lk(mu_);
   return core::summary_digest(held_);
+}
+
+core::BrokerSummary BrokerNode::held_summary() const {
+  std::lock_guard lk(mu_);
+  return held_;
 }
 
 std::map<BrokerId, uint64_t> BrokerNode::shadow_digests() const {
@@ -584,7 +591,8 @@ bool BrokerNode::remove_subscription_locked(SubId id) {
   if (!home_.remove(id)) return false;
   held_.remove(id);
   subscribers_.erase(id.local);
-  pending_removals_.push_back(id);
+  // A sink never announces, so nothing would ever drain its queue.
+  if (!sink_) pending_removals_.push_back(id);
   if (store_) store_->log_unsubscribe(id);
   return true;
 }
@@ -702,10 +710,6 @@ void BrokerNode::ingest_locked(SummaryEnvelope& msg, uint64_t epoch,
   if (!fold(from_check)) return;
   for (const SubId& id : msg.removals) held_.remove(id);
   routing::merge_brokers(merged_brokers_, std::move(msg.merged_brokers));
-  // The held image changed: refresh wire-vs-model drift and the
-  // per-attribute row-occupancy distributions while it is current.
-  core::export_model_drift(metrics_, held_, wire_);
-  core::export_row_occupancy(metrics_, held_);
 }
 
 void BrokerNode::on_summary(Socket& s, ClientConn& conn, const Frame& f) {
@@ -862,8 +866,6 @@ void BrokerNode::begin_period() {
     for (const auto& [b, sh] : shadows_) core::merge_into_summary(sh.image, held_);
     held_dirty_ = false;
     shadows_changed_ = false;
-    core::export_model_drift(metrics_, held_, wire_);
-    core::export_row_occupancy(metrics_, held_);
   }
 }
 
@@ -1008,12 +1010,23 @@ void BrokerNode::on_deliver(Socket& s, ClientConn& conn, const Frame& f) {
 void BrokerNode::notify_owners(std::span<const SubId> ids, const model::Event& event,
                                uint64_t trace) {
   std::map<std::shared_ptr<ClientConn>, std::vector<SubId>> per_conn;
+  size_t exact = 0;
   {
     std::lock_guard lk(mu_);
-    for (const SubId& id : home_.refilter(ids, event)) {
+    const auto kept = home_.refilter(ids, event);
+    exact = kept.size();
+    for (const SubId& id : kept) {
       auto it = subscribers_.find(id.local);
       if (it != subscribers_.end()) per_conn[it->second].push_back(id);
     }
+  }
+  // Summary precision, counted where the exact answer already exists:
+  // every delivered id was a summary candidate, and the re-filter kept the
+  // true matches. The count is the first thing rung 1 sheds.
+  if (governor_->shedding(Governor::Shed::kProbe)) {
+    governor_->count_shed(Governor::Shed::kProbe);
+  } else {
+    probe_.record(ids.size(), exact);
   }
   for (auto& [client, cids] : per_conn) {
     enqueue_notify(client, encode(NotifyMsg{std::move(cids), event}, cfg_.schema), trace);
@@ -1102,8 +1115,9 @@ void BrokerNode::on_stats(Socket& s, ClientConn& conn, const Frame&) {
                                                              started_at_)
                 .count());
   {
-    // Quality exports track subscribes too, not just merges, so a scrape
-    // is always current.
+    // The summary gauges are computed here and only here: the held image
+    // changes on subscribes, ingests and rebuilds, and only a scrape reads
+    // them.
     std::lock_guard lk(mu_);
     core::export_model_drift(metrics_, held_, wire_);
     core::export_row_occupancy(metrics_, held_);
@@ -1223,24 +1237,6 @@ void BrokerNode::walk_step(EventMsg msg, size_t frame_bytes) {
     hist_match_->observe_ex(dt, trace);
     stages_.observe(obs::Stage::kMatch, dt, trace);
     merged = merged_brokers_;
-    // Shadow-sampled quality probe: a broker can verify exactly only its
-    // OWN subscriptions (the home table is the oracle; summaries never
-    // lose matches, so exact ⊆ summary-local). Sampled events also get a
-    // match_into-vs-match_reference differential run on the held summary.
-    if (probe_.should_sample(msg.event)) {
-      if (governor_->shedding(Governor::Shed::kProbe)) {
-        // Rung 1: the shadow sample (an extra exact match + reference
-        // run) is the first thing to go under pressure.
-        governor_->count_shed(Governor::Shed::kProbe);
-      } else {
-        const size_t local_candidates = static_cast<size_t>(std::count_if(
-            matched.begin(), matched.end(),
-            [this](const SubId& id) { return id.broker == cfg_.id; }));
-        const size_t local_exact = home_.match(msg.event).size();
-        const bool diverged = core::match_reference(held_, msg.event) != matched;
-        probe_.record(local_candidates, local_exact, diverged);
-      }
-    }
   }
   if (trace) {
     // bytes carries the matched-id count for match spans (there is no

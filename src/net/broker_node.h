@@ -37,7 +37,13 @@
 // Locking: `mu_` guards all broker state and is NEVER held across a
 // network call; peer RPCs therefore cannot deadlock (a blocked walk thread
 // at broker A does not prevent A from serving kDeliver on another
-// connection).
+// connection). A walk step holds it only for the match and the
+// Merged_Brokers copy.
+//
+// Telemetry reads what the broker already computes. Summary precision is
+// counted at the owner's exact re-filter, on every delivery (core/
+// quality.h); the summary gauges (wire-vs-model drift, row occupancy,
+// shard balance) are computed only when a kStats scrape asks for them.
 //
 // Fault tolerance: every peer RPC runs under RpcPolicy deadlines and a
 // backoff-paced retry loop, so no broker call can block forever on a dead
@@ -128,10 +134,6 @@ struct BrokerConfig {
   std::string data_dir;
   /// Compact (snapshot + WAL truncate) once this many records accumulate.
   uint64_t snapshot_wal_threshold = 256;
-  /// Shadow-sampling fraction for the summary-quality probe: 1 in
-  /// 2^quality_sample_shift events (by deterministic content hash) re-run
-  /// the exact local oracle next to the summary match (core/quality.h).
-  uint32_t quality_sample_shift = 6;
   // --- soft-state summaries (PROTOCOL v4) -----------------------------------
   /// Lease length, in propagation periods, stamped on subscriptions that do
   /// not carry their own TTL. 0 = permanent (the pre-v4 behavior). A leased
@@ -204,6 +206,7 @@ class BrokerNode {
     size_t pending_redeliveries = 0;
     uint64_t epoch = 0;  // 0 when ephemeral (no data dir)
     size_t active_leases = 0;
+    size_t pending_removals = 0;  // own removals awaiting the next send
   };
   [[nodiscard]] Snapshot snapshot() const;
 
@@ -212,6 +215,10 @@ class BrokerNode {
   /// a receiver's shadow digest for a sender equals the sender's announced
   /// digest link by link.
   [[nodiscard]] uint64_t held_digest() const;
+
+  /// Test hook: a copy of the held summary, taken under the state lock
+  /// (the differential tests match it against core::match_reference).
+  [[nodiscard]] core::BrokerSummary held_summary() const;
 
   /// Per-sender digests of the mirrored (shadow) images this broker holds.
   [[nodiscard]] std::map<overlay::BrokerId, uint64_t> shadow_digests() const;
@@ -339,8 +346,9 @@ class BrokerNode {
   void walk_step(EventMsg msg, size_t frame_bytes);
 
   /// Owner side of a delivery (kDeliver, or the walk's local branch):
-  /// re-filters `ids` against the exact home table and queues one kNotify
-  /// per subscriber connection.
+  /// re-filters `ids` against the exact home table, counts the delivered
+  /// vs kept ids in the quality probe, and queues one kNotify per
+  /// subscriber connection.
   void notify_owners(std::span<const model::SubId> ids, const model::Event& event,
                      uint64_t trace);
 
@@ -368,14 +376,13 @@ class BrokerNode {
   /// otherwise the held rows of the sender and of every listed broker seen
   /// at a newer incarnation are dropped, and `fold(check)` folds the body
   /// into the shadow and held_. When it returns true, the removal
-  /// piggyback, the Merged_Brokers union and the drift/occupancy exports
-  /// follow. Caller holds mu_.
+  /// piggyback and the Merged_Brokers union follow. Caller holds mu_.
   void ingest_locked(SummaryEnvelope& msg, uint64_t epoch,
                      const std::function<bool(routing::EpochCheck)>& fold);
 
   /// Removes one of this broker's own subscriptions everywhere (home
   /// table, held summary, subscriber, lease), queues the removal for the
-  /// neighbors and appends its WAL record. An id this broker does not own
+  /// neighbors (unless this broker is a sink) and appends its WAL record. An id this broker does not own
   /// or does not hold is ignored: returns false, nothing changes. Caller
   /// holds mu_ and commits.
   bool remove_subscription_locked(model::SubId id);
@@ -470,8 +477,11 @@ class BrokerNode {
   core::HomeTable home_;                         // own subs, leases, c2 allocator
   core::BrokerSummary held_;                     // own + everything received
   std::vector<overlay::BrokerId> merged_brokers_;
-  std::vector<model::SubId> pending_removals_;
+  std::vector<model::SubId> pending_removals_;   // empty forever at a sink
   std::vector<char> communicated_;               // per neighbor id, this period
+  /// No neighbor of equal or higher degree: Algorithm 2 never gives this
+  /// broker a send target. Immutable after construction.
+  bool sink_ = false;
   std::map<overlay::BrokerId, PeerShadow> shadows_;  // guarded by mu_
   std::map<overlay::BrokerId, LastSent> last_sent_;  // guarded by mu_
   bool held_dirty_ = false;       // rows were removed: rebuild at the boundary
@@ -498,7 +508,7 @@ class BrokerNode {
   obs::Logger log_;             // structured JSONL (kOff unless configured)
   obs::StageSet stages_;        // per-stage latency histograms w/ exemplars
   obs::Gauge* gauge_trace_dropped_ = nullptr;  // subsum_trace_spans_dropped_total
-  core::QualityProbe probe_;          // shadow-sampled FP probe (quality.h)
+  core::QualityProbe probe_;          // owner re-filter precision (quality.h)
   routing::WalkMetrics walk_metrics_;  // BROCLI walk-efficiency counters
   std::chrono::steady_clock::time_point started_at_;  // for subsum_uptime_seconds
   obs::Counter* ctr_publishes_ = nullptr;       // subsum_publishes_total

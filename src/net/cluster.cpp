@@ -23,20 +23,22 @@ std::unique_ptr<Client> Cluster::connect(overlay::BrokerId b, ClientOptions opts
   return std::make_unique<Client>(ports_.at(b), *schema_, opts);
 }
 
-PropagationReport Cluster::run_propagation_period() {
+PropagationReport clock_propagation_period(const overlay::Graph& graph,
+                                           std::span<const uint16_t> ports,
+                                           const RpcPolicy& rpc) {
   PropagationReport report;
-  std::vector<char> failed(nodes_.size(), 0);
+  std::vector<char> failed(ports.size(), 0);
   // A trigger ack can lag behind the broker's summary send plus its
   // redelivery flush, each paced by the backoff budget; size the wait
   // accordingly rather than one io_timeout.
-  const auto ack_timeout = rpc_.io_timeout * 10 + std::chrono::seconds(1);
-  const auto max_degree = static_cast<uint32_t>(graph_.max_degree());
+  const auto ack_timeout = rpc.io_timeout * 10 + std::chrono::seconds(1);
+  const auto max_degree = static_cast<uint32_t>(graph.max_degree());
   for (uint32_t it = 1; it <= max_degree; ++it) {
-    for (overlay::BrokerId b = 0; b < nodes_.size(); ++b) {
+    for (overlay::BrokerId b = 0; b < ports.size(); ++b) {
       if (failed[b]) continue;  // already reported; skip for this period
       try {
-        Socket s = connect_local(ports_[b], rpc_.connect_timeout);
-        s.set_send_timeout(rpc_.io_timeout);
+        Socket s = connect_local(ports[b], rpc.connect_timeout);
+        s.set_send_timeout(rpc.io_timeout);
         s.set_recv_timeout(ack_timeout);
         send_frame(s, MsgKind::kTrigger, encode(TriggerMsg{it}));
         const auto ack = recv_frame(s);
@@ -53,6 +55,10 @@ PropagationReport Cluster::run_propagation_period() {
     }
   }
   return report;
+}
+
+PropagationReport Cluster::run_propagation_period() {
+  return clock_propagation_period(graph_, ports_, rpc_);
 }
 
 void Cluster::kill(overlay::BrokerId b) { nodes_.at(b)->stop(); }

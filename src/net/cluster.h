@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/broker_node.h"
@@ -27,6 +28,17 @@ struct PropagationReport {
 
   [[nodiscard]] bool complete() const noexcept { return unreachable.empty(); }
 };
+
+/// The propagation controller's round over the brokers listening on
+/// `ports` (indexed by broker id): for i = 1..max_degree, triggers
+/// iteration i on every broker and waits for its ack (each broker's
+/// summary send is synchronous, so the barrier gives exactly the paper's
+/// iteration semantics). A broker that fails a trigger is skipped for the
+/// rest of the period and reported; the round continues for live brokers.
+/// Cluster and the subsum_broker CLI both clock their periods with it.
+PropagationReport clock_propagation_period(const overlay::Graph& graph,
+                                           std::span<const uint16_t> ports,
+                                           const RpcPolicy& rpc);
 
 class Cluster {
  public:
@@ -55,11 +67,8 @@ class Cluster {
   [[nodiscard]] std::unique_ptr<Client> connect(overlay::BrokerId b,
                                                 ClientOptions opts = {}) const;
 
-  /// Clocks one full propagation period: for i = 1..max_degree, triggers
-  /// iteration i on every broker and barriers on the acks (each broker's
-  /// summary send is synchronous, so the barrier gives exactly the paper's
-  /// iteration semantics). Unreachable brokers are skipped for the rest of
-  /// the period and reported; the round continues for live brokers.
+  /// Clocks one full propagation period over the cluster's brokers
+  /// (clock_propagation_period).
   PropagationReport run_propagation_period();
 
   /// Simulates a crash: stops broker b (connections reset, state lost).

@@ -23,7 +23,7 @@
 //      admits one half-open probe.
 //
 //   4. A degradation ladder driven by usage/budget. Rungs shed in strict
-//      priority order: quality-probe shadow samples, then trace spans,
+//      priority order: the owner-side quality count, then trace spans,
 //      then TTL'd redeliveries, then new publish admissions. Control-plane
 //      traffic (summary announcements, deltas, leases, kSummarySync
 //      anti-entropy) is NEVER shed — soft-state convergence must survive

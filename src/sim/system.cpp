@@ -31,7 +31,7 @@ SimSystem::SimSystem(SystemConfig cfg)
                               cfg_.max_subs_per_broker, cfg_.schema.attr_count()),
             cfg_.numeric_width},
       walk_metrics_(metrics_),
-      probe_(metrics_, core::SampleConfig{cfg_.quality_sample_shift}) {
+      probe_(metrics_) {
   const size_t n = cfg_.graph.size();
   if (n == 0) throw std::invalid_argument("system needs at least one broker");
   for (BrokerId b = 0; b < n; ++b) home_.emplace_back(b, cfg_.max_subs_per_broker);
@@ -234,26 +234,16 @@ SimSystem::PublishOutcome SimSystem::publish_one(BrokerId origin, const model::E
   std::sort(out.candidates.begin(), out.candidates.end());
   std::sort(out.delivered.begin(), out.delivered.end());
 
-  // Observatory probes: walk-efficiency counters on every publish, plus the
-  // shadow-sampled quality probe. `delivered` IS the exact oracle result
-  // (home-table re-filter), so the sampled FP count is candidates−delivered;
-  // the sampled events additionally get a match_into-vs-match_reference
-  // differential run per visited broker (expected always equal). Counter
-  // mutation is relaxed-atomic, so the const publish path and concurrent
-  // publish_batch shards record safely; totals are commutative and thus
-  // identical for every sharding.
+  // Observatory probes, on every publish: walk-efficiency counters, and
+  // summary precision as candidates vs `delivered` — the owners' exact
+  // re-filter, a subset of the candidates. Under combine_subsumption the
+  // owners match their whole home table instead (covered subscriptions
+  // never enter the summaries), so there is no candidate/exact pair to
+  // count. Counter mutation is relaxed-atomic, so the const publish path
+  // and concurrent publish_batch shards record safely; totals are
+  // commutative and thus identical for every sharding.
   walk_metrics_.fold(out.route);
-  if (!cfg_.combine_subsumption && probe_.should_sample(event)) {
-    bool diverged = false;
-    for (const BrokerId b : out.route.visited) {
-      if (core::match(state_.held[b], event) !=
-          core::match_reference(state_.held[b], event)) {
-        diverged = true;
-        break;
-      }
-    }
-    probe_.record(out.candidates.size(), out.delivered.size(), diverged);
-  }
+  if (!cfg_.combine_subsumption) probe_.record(out.candidates.size(), out.delivered.size());
   return out;
 }
 

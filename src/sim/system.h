@@ -65,13 +65,6 @@ struct SystemConfig {
   /// span logs — including through publish_batch, whose spans are folded
   /// into the ring in event order at the barrier.
   bool trace = false;
-  /// Shadow-sampling fraction for the summary-quality probe: 1 in
-  /// 2^quality_sample_shift events (by deterministic content hash) get the
-  /// exact oracle re-run next to the summary match, feeding
-  /// subsum_summary_false_positive_ids_total / subsum_summary_precision in
-  /// metrics(). The sampled SET is identical across runs and shardings.
-  /// Skipped under combine_subsumption (delivery semantics differ there).
-  uint32_t quality_sample_shift = 6;
 };
 
 class SimSystem {
@@ -159,14 +152,15 @@ class SimSystem {
   }
 
   /// The system's metrics registry: walk-efficiency counters
-  /// (subsum_walk_*), the shadow-sampled quality probe (subsum_quality_*,
-  /// subsum_summary_false_positive_ids_total, subsum_summary_precision)
+  /// (subsum_walk_*), the quality probe counted on every publish
+  /// (subsum_quality_*, subsum_summary_false_positive_ids_total,
+  /// subsum_summary_precision)
   /// and per-broker summary gauges/histograms labeled {broker="N"}
   /// (model drift, row occupancy — refreshed each propagation period).
   [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
-  /// The shadow-sampling quality probe (for tests: config + precision).
+  /// The quality probe (for tests: cumulative precision).
   [[nodiscard]] const core::QualityProbe& quality_probe() const noexcept { return probe_; }
 
  private:
@@ -197,7 +191,7 @@ class SimSystem {
   uint64_t period_seq_ = 0;     // virtual clock for flight_ stamps
   obs::MetricsRegistry metrics_;        // declared before the handle holders below
   routing::WalkMetrics walk_metrics_;   // BROCLI walk-efficiency counters
-  core::QualityProbe probe_;            // shadow-sampled FP probe
+  core::QualityProbe probe_;            // candidates vs delivered, every publish
 };
 
 }  // namespace subsum::sim

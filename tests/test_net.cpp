@@ -8,10 +8,12 @@
 #include <string>
 #include <thread>
 
+#include "core/matcher.h"
 #include "net/cluster.h"
 #include "net/framing.h"
 #include "net/protocol.h"
 #include "net/socket.h"
+#include "obs/promtext.h"
 #include "overlay/topologies.h"
 #include "sim/system.h"
 #include "util/rng.h"
@@ -331,6 +333,149 @@ TEST(BrokerNode, StopNeverHangsOnConnectionAcceptedDuringStop) {
   auto client = cluster.connect(0);
   const auto sub = SubscriptionBuilder(s).where("symbol", Op::kEq, "A").build();
   EXPECT_EQ(client->subscribe(sub).broker, 0u);
+}
+
+// The owner re-filters every delivered candidate against its exact home
+// table, so summary precision is counted there, on every delivery: ids
+// delivered are the candidates, ids the re-filter kept are the exact ones.
+TEST(BrokerNode, QualityCountersCountEveryDeliveryAtTheOwner) {
+#ifdef SUBSUM_NO_TELEMETRY
+  GTEST_SKIP() << "telemetry compiled out (SUBSUM_NO_TELEMETRY)";
+#endif
+  const Schema s = schema_v();
+  const auto symbol = s.id_of("symbol");
+  Cluster cluster(s, overlay::line(2), core::GeneralizePolicy::kAggressive);
+  auto subscriber = cluster.connect(1);
+  auto publisher = cluster.connect(0);
+
+  // Skewed string equalities and prefixes under aggressive generalization
+  // (the reduced ablation-(c) workload): the summary trades rows for
+  // false positives.
+  core::NaiveMatcher exact;
+  util::Rng rng(31);
+  for (int i = 0; i < 300; ++i) {
+    const std::string k = "s" + std::to_string(rng.below(16));
+    const double roll = rng.uniform01();
+    Subscription sub =
+        roll < 0.6   ? SubscriptionBuilder(s)
+                         .where(symbol, Op::kEq, k + "-" + std::to_string(rng.below(40)))
+                         .build()
+        : roll < 0.9 ? SubscriptionBuilder(s).where(symbol, Op::kPrefix, k).build()
+                     : SubscriptionBuilder(s).where(symbol, Op::kNe, k + "-0").build();
+    const SubId id = subscriber->subscribe(sub);
+    exact.add({id, std::move(sub)});
+  }
+  ASSERT_TRUE(cluster.run_propagation_period().complete());
+  // Broker 0 examines every event and delivers broker 1's candidates.
+  const core::BrokerSummary walked = cluster.node(0).held_summary();
+
+  uint64_t candidates = 0, notified = 0;
+  for (int i = 0; i < 40; ++i) {
+    const auto e = EventBuilder(s)
+                       .set(symbol, "s" + std::to_string(rng.below(16)) + "-" +
+                                        std::to_string(rng.below(40)))
+                       .build();
+    for (const SubId& id : core::match(walked, e)) candidates += id.broker == 1 ? 1 : 0;
+    publisher->publish(e);
+    const size_t want = exact.match(e).size();
+    size_t got = 0;
+    while (got < want) {
+      const auto note = subscriber->next_notification(2000ms);
+      ASSERT_TRUE(note.has_value()) << "event " << i;
+      got += note->ids.size();
+    }
+    notified += got;
+  }
+  for (const auto& note : subscriber->drain_notifications()) notified += note.ids.size();
+
+  ASSERT_GT(candidates, notified);  // the summary really over-approximates
+  const auto& owner = cluster.node(1).metrics();
+  EXPECT_EQ(owner.counter_value("subsum_quality_candidate_ids_total"), candidates);
+  EXPECT_EQ(owner.counter_value("subsum_quality_exact_ids_total"), notified);
+  EXPECT_EQ(owner.counter_value("subsum_summary_false_positive_ids_total"),
+            candidates - notified);
+  // The walking broker owns nothing, so it counts nothing.
+  EXPECT_EQ(cluster.node(0).metrics().counter_value("subsum_quality_candidate_ids_total"), 0u);
+}
+
+// The summary gauges are computed by the scrape itself, so each scrape
+// describes the held summary as it is then.
+TEST(BrokerNode, ScrapeReportsTheCurrentSummary) {
+#ifdef SUBSUM_NO_TELEMETRY
+  GTEST_SKIP() << "telemetry compiled out (SUBSUM_NO_TELEMETRY)";
+#endif
+  const Schema s = schema_v();
+  Cluster cluster(s, overlay::line(2));
+  auto c0 = cluster.connect(0);
+  auto c1 = cluster.connect(1);
+  // Returns (wire bytes, rows) after checking both against the node.
+  const auto scrape = [&] {
+    const auto samples = obs::parse_prometheus_text(c0->stats_text());
+    const core::BrokerSummary held = cluster.node(0).held_summary();
+    std::optional<double> wire;
+    for (const auto& sm : samples) {
+      if (sm.name == "subsum_summary_wire_bytes" && sm.labels.empty()) wire = sm.value;
+    }
+    EXPECT_TRUE(wire.has_value());
+    EXPECT_EQ(wire.value_or(-1), static_cast<double>(cluster.node(0).snapshot().held_wire_bytes));
+    size_t total_rows = 0;
+    for (model::AttrId a = 0; a < s.attr_count(); ++a) {
+      const size_t rows = model::is_arithmetic(s.type_of(a)) ? held.aacs(a).pieces().size()
+                                                             : held.sacs(a).rows().size();
+      total_rows += rows;
+      std::optional<double> reported;
+      for (const auto& sm : samples) {
+        const std::string* attr = sm.label("attr");
+        if (sm.name == "subsum_summary_row_ids_count" && attr && *attr == s.spec(a).name) {
+          reported = sm.value;
+        }
+      }
+      EXPECT_EQ(reported.value_or(-1), static_cast<double>(rows)) << s.spec(a).name;
+    }
+    return std::make_pair(wire.value_or(0), total_rows);
+  };
+
+  c0->subscribe(SubscriptionBuilder(s).where("symbol", Op::kEq, "A").build());
+  c1->subscribe(SubscriptionBuilder(s).where("price", Op::kGt, 10.0).build());
+  ASSERT_TRUE(cluster.run_propagation_period().complete());
+  const auto first = scrape();
+
+  c0->subscribe(SubscriptionBuilder(s).where("symbol", Op::kPrefix, "B").build());
+  c1->subscribe(SubscriptionBuilder(s)
+                    .where("price", Op::kLt, 5.0)
+                    .where("volume", Op::kGe, int64_t{100})
+                    .build());
+  ASSERT_TRUE(cluster.run_propagation_period().complete());
+  const auto second = scrape();
+  EXPECT_GT(second.first, first.first);
+  EXPECT_GT(second.second, first.second);
+}
+
+// Algorithm 2 gives a sink (no neighbor of equal or higher degree) no send
+// target, so a sink never announces and its own removals have nowhere to
+// go: it must not queue them. On fig 7 the sinks are 4, 7 and 10; leaf 12
+// sends to 10 every period, which drains its queue.
+TEST(BrokerNode, SinkNeverQueuesRemovals) {
+  const Schema s = schema_v();
+  Cluster cluster(s, overlay::fig7_tree());
+  const std::vector<BrokerId> sinks = {4, 7, 10};
+  const BrokerId leaf = 12;
+  std::map<BrokerId, std::unique_ptr<Client>> clients;
+  for (const BrokerId b : {BrokerId{4}, BrokerId{7}, BrokerId{10}, leaf}) {
+    clients[b] = cluster.connect(b);
+  }
+  const auto sub = SubscriptionBuilder(s).where("symbol", Op::kEq, "A").build();
+  for (int period = 0; period < 4; ++period) {
+    SCOPED_TRACE("period " + std::to_string(period));
+    for (auto& [b, c] : clients) {
+      for (int i = 0; i < 5; ++i) c->unsubscribe(c->subscribe(sub));
+    }
+    for (const BrokerId b : sinks) EXPECT_EQ(cluster.node(b).snapshot().pending_removals, 0u);
+    EXPECT_EQ(cluster.node(leaf).snapshot().pending_removals, 5u);
+    ASSERT_TRUE(cluster.run_propagation_period().complete());
+    for (const BrokerId b : sinks) EXPECT_EQ(cluster.node(b).snapshot().pending_removals, 0u);
+    EXPECT_EQ(cluster.node(leaf).snapshot().pending_removals, 0u);
+  }
 }
 
 TEST(Cluster, Fig7EndToEndOverTcp) {

@@ -1,10 +1,11 @@
-// Summary-quality probes (core/quality.h): event-content hashing, the
-// deterministic shadow sample, false-positive counters against the exact
-// oracle on the ablation workloads, walk-efficiency folding, and the
-// model-drift / row-occupancy exports — plus the SimSystem integration
-// (identical counters for sequential and sharded publishing).
+// Summary-quality probes (core/quality.h): false-positive counters against
+// the exact oracle on the ablation workloads, walk-efficiency folding, and
+// the model-drift / row-occupancy exports — plus the SimSystem integration
+// (every publish counted, identical counters for sequential and sharded
+// publishing).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,79 +37,23 @@ namespace {
 using model::SubId;
 using overlay::BrokerId;
 
-// --- event_hash / SampleConfig ----------------------------------------------
-
-TEST(EventHash, DependsOnlyOnContent) {
-  const auto schema = workload::stock_schema();
-  const auto price = schema.id_of("price");
-  const auto symbol = schema.id_of("symbol");
-  const auto a = model::EventBuilder(schema).set(price, 10.0).set(symbol, "x").build();
-  const auto b = model::EventBuilder(schema).set(price, 10.0).set(symbol, "x").build();
-  EXPECT_EQ(core::event_hash(a), core::event_hash(b));  // identity-free
-
-  const auto c = model::EventBuilder(schema).set(price, 11.0).set(symbol, "x").build();
-  const auto d = model::EventBuilder(schema).set(price, 10.0).set(symbol, "y").build();
-  const auto e = model::EventBuilder(schema).set(price, 10.0).build();
-  EXPECT_NE(core::event_hash(a), core::event_hash(c));
-  EXPECT_NE(core::event_hash(a), core::event_hash(d));
-  EXPECT_NE(core::event_hash(a), core::event_hash(e));
-}
-
-TEST(SampleConfig, Shift0IsEverythingAndFractionRoughlyScales) {
-  const core::SampleConfig all{0};
-  for (uint64_t h : {0ull, 1ull, 63ull, ~0ull}) EXPECT_TRUE(all.selects(h));
-
-  // On a real workload the 1-in-2^shift sample lands near its nominal
-  // fraction (FNV spreads the low bits well).
-  const auto schema = workload::stock_schema();
-  workload::SubscriptionGenerator gen(schema, {}, 17);
-  workload::EventGenerator egen(schema, gen.pools(), {}, 18);
-  const core::SampleConfig cfg{4};  // 1/16
-  size_t selected = 0;
-  const size_t total = 4096;
-  for (size_t i = 0; i < total; ++i) {
-    if (cfg.selects(core::event_hash(egen.next()))) ++selected;
-  }
-  EXPECT_GT(selected, total / 16 / 2);
-  EXPECT_LT(selected, total / 16 * 2);
-}
-
 // --- QualityProbe counters --------------------------------------------------
 
 TEST(QualityProbe, CountersPrecisionAndClamp) {
   SKIP_WITHOUT_TELEMETRY();
   obs::MetricsRegistry reg;
-  const core::QualityProbe probe(reg, core::SampleConfig{0});
-  EXPECT_EQ(probe.precision(), 1.0);  // before any sample
+  const core::QualityProbe probe(reg);
+  EXPECT_EQ(probe.precision(), 1.0);  // before any delivery
+  probe.record(0, 0);                 // an empty delivery keeps it there
+  EXPECT_EQ(probe.precision(), 1.0);
 
   probe.record(10, 7);
   probe.record(5, 5);
-  EXPECT_EQ(reg.counter_value("subsum_quality_sampled_events_total"), 2u);
   EXPECT_EQ(reg.counter_value("subsum_quality_candidate_ids_total"), 15u);
   EXPECT_EQ(reg.counter_value("subsum_quality_exact_ids_total"), 12u);
   EXPECT_EQ(reg.counter_value("subsum_summary_false_positive_ids_total"), 3u);
-  EXPECT_EQ(reg.counter_value("subsum_quality_engine_divergence_total"), 0u);
   EXPECT_DOUBLE_EQ(probe.precision(), 12.0 / 15.0);
   EXPECT_DOUBLE_EQ(reg.fgauge("subsum_summary_precision")->value(), 12.0 / 15.0);
-
-  // exact > candidates is impossible by construction (summaries never lose
-  // matches): the probe clamps and flags it as engine divergence.
-  probe.record(3, 9);
-  EXPECT_EQ(reg.counter_value("subsum_quality_engine_divergence_total"), 1u);
-  EXPECT_EQ(reg.counter_value("subsum_quality_exact_ids_total"), 15u);
-  EXPECT_EQ(reg.counter_value("subsum_summary_false_positive_ids_total"), 3u);
-}
-
-TEST(QualityProbe, NoTelemetryCompilesTheOracleBranchOut) {
-  obs::MetricsRegistry reg;
-  const core::QualityProbe probe(reg, core::SampleConfig{0});
-  const auto schema = workload::stock_schema();
-  const auto e = model::EventBuilder(schema).set("price", 1.0).build();
-#ifdef SUBSUM_NO_TELEMETRY
-  EXPECT_FALSE(probe.should_sample(e));  // constant false: oracle is dead code
-#else
-  EXPECT_TRUE(probe.should_sample(e));  // shift 0 samples everything
-#endif
 }
 
 // --- FP counters vs the exact oracle (the ablation workloads) ---------------
@@ -141,7 +86,7 @@ TEST(QualityProbe, FpCounterMatchesCoarseAacsOracle) {
   }
 
   obs::MetricsRegistry reg;
-  const core::QualityProbe probe(reg, core::SampleConfig{0});
+  const core::QualityProbe probe(reg);
   uint64_t oracle_fp = 0;
   for (int i = 0; i < 200; ++i) {
     const auto e =
@@ -150,12 +95,10 @@ TEST(QualityProbe, FpCounterMatchesCoarseAacsOracle) {
     const auto exact = naive.match(e);
     ASSERT_GE(cand.size(), exact.size());  // summaries never lose matches
     oracle_fp += cand.size() - exact.size();
-    ASSERT_TRUE(probe.should_sample(e));
     probe.record(cand.size(), exact.size());
   }
   EXPECT_GT(oracle_fp, 0u);  // coarse absorption really over-approximates here
   EXPECT_EQ(reg.counter_value("subsum_summary_false_positive_ids_total"), oracle_fp);
-  EXPECT_EQ(reg.counter_value("subsum_quality_engine_divergence_total"), 0u);
   EXPECT_LT(probe.precision(), 1.0);
 }
 
@@ -189,7 +132,7 @@ TEST(QualityProbe, FpCounterMatchesAggressiveSacsOracle) {
   }
 
   obs::MetricsRegistry reg;
-  const core::QualityProbe probe(reg, core::SampleConfig{0});
+  const core::QualityProbe probe(reg);
   uint64_t oracle_fp = 0;
   for (int i = 0; i < 200; ++i) {
     const auto e = model::EventBuilder(schema)
@@ -204,7 +147,6 @@ TEST(QualityProbe, FpCounterMatchesAggressiveSacsOracle) {
   }
   EXPECT_GT(oracle_fp, 0u);
   EXPECT_EQ(reg.counter_value("subsum_summary_false_positive_ids_total"), oracle_fp);
-  EXPECT_EQ(reg.counter_value("subsum_quality_engine_divergence_total"), 0u);
 }
 
 // --- WalkMetrics ------------------------------------------------------------
@@ -291,23 +233,32 @@ sim::SystemConfig quality_cfg() {
   cfg.graph = overlay::cable_wireless_24();
   cfg.arith_mode = core::AacsMode::kCoarse;  // over-approximates -> FPs exist
   cfg.policy = core::GeneralizePolicy::kAggressive;
-  cfg.quality_sample_shift = 2;  // 1/4 of events, deterministic by content
   return cfg;
 }
 
+/// Generates the subscriptions subscribe_workload() installs, in order.
+workload::SubscriptionGenerator workload_subscriptions(const model::Schema& schema) {
+  workload::SubGenParams sp;
+  sp.subsumption = 0.5;
+  return workload::SubscriptionGenerator(schema, sp, 90);
+}
+
+/// Every other event is built to match one of the workload's
+/// subscriptions, so publishes deliver.
 std::vector<model::Event> quality_events(const model::Schema& schema, size_t n) {
-  workload::SubscriptionGenerator gen(schema, {}, 91);
-  workload::EventGenerator egen(schema, gen.pools(), {}, 92);
+  auto subs = workload_subscriptions(schema);
+  workload::EventGenerator egen(schema, subs.pools(), {}, 92);
   std::vector<model::Event> events;
   events.reserve(n);
-  for (size_t i = 0; i < n; ++i) events.push_back(egen.next());
+  for (size_t i = 0; i < n; ++i) {
+    auto built = i % 2 == 0 ? workload::matching_event(schema, subs.next()) : std::nullopt;
+    events.push_back(built ? std::move(*built) : egen.next());
+  }
   return events;
 }
 
 void subscribe_workload(sim::SimSystem& sys) {
-  workload::SubGenParams sp;
-  sp.subsumption = 0.5;
-  workload::SubscriptionGenerator gen(sys.schema(), sp, 90);
+  auto gen = workload_subscriptions(sys.schema());
   for (BrokerId b = 0; b < sys.broker_count(); ++b) {
     for (int i = 0; i < 8; ++i) sys.subscribe(b, gen.next());
   }
@@ -320,8 +271,12 @@ TEST(SimQuality, SampledSetIsDeterministicAcrossShardings) {
 
   sim::SimSystem sequential(cfg);
   subscribe_workload(sequential);
+  uint64_t candidates = 0, delivered = 0;
   for (size_t i = 0; i < events.size(); ++i) {
-    sequential.publish(static_cast<BrokerId>(i % sequential.broker_count()), events[i]);
+    const auto out =
+        sequential.publish(static_cast<BrokerId>(i % sequential.broker_count()), events[i]);
+    candidates += out.candidates.size();
+    delivered += out.delivered.size();
   }
 
   sim::SimSystem sharded(quality_cfg());
@@ -333,28 +288,22 @@ TEST(SimQuality, SampledSetIsDeterministicAcrossShardings) {
     sharded.publish_batch(origin, std::span(&events[i], 1), pool);
   }
 
-  const char* kQuality[] = {
-      "subsum_quality_sampled_events_total", "subsum_quality_candidate_ids_total",
-      "subsum_quality_exact_ids_total",      "subsum_summary_false_positive_ids_total",
-      "subsum_quality_engine_divergence_total"};
+  const char* kQuality[] = {"subsum_quality_candidate_ids_total",
+                            "subsum_quality_exact_ids_total",
+                            "subsum_summary_false_positive_ids_total"};
   for (const char* name : kQuality) {
     EXPECT_EQ(sequential.metrics().counter_value(name),
               sharded.metrics().counter_value(name))
         << name;
   }
 #ifndef SUBSUM_NO_TELEMETRY
-  // The sampled set is exactly the events whose content hash the config
-  // selects — independent of sharding, origin, or arrival order.
-  uint64_t expected_sampled = 0;
-  const core::SampleConfig sample{cfg.quality_sample_shift};
-  for (const auto& e : events) {
-    if (sample.selects(core::event_hash(e))) ++expected_sampled;
-  }
-  EXPECT_GT(expected_sampled, 0u);
-  EXPECT_EQ(sequential.metrics().counter_value("subsum_quality_sampled_events_total"),
-            expected_sampled);
-  EXPECT_EQ(sequential.metrics().counter_value("subsum_quality_engine_divergence_total"),
-            0u);
+  // Every publish is counted: the totals are exactly the outcomes' sums.
+  EXPECT_GT(candidates, 0u);
+  EXPECT_EQ(sequential.metrics().counter_value("subsum_quality_candidate_ids_total"),
+            candidates);
+  EXPECT_EQ(sequential.metrics().counter_value("subsum_quality_exact_ids_total"), delivered);
+  EXPECT_EQ(sequential.metrics().counter_value("subsum_summary_false_positive_ids_total"),
+            candidates - delivered);
 #endif
 }
 
@@ -369,7 +318,7 @@ TEST(SimQuality, ExpositionCarriesWalkQualityAndPerBrokerSeries) {
   const std::string text = sys.metrics().prometheus_text();
   EXPECT_NE(text.find("subsum_walk_total "), std::string::npos);
   EXPECT_NE(text.find("subsum_walk_visits_total "), std::string::npos);
-  EXPECT_NE(text.find("subsum_quality_sampled_events_total "), std::string::npos);
+  EXPECT_NE(text.find("subsum_quality_candidate_ids_total "), std::string::npos);
   EXPECT_NE(text.find("subsum_summary_precision "), std::string::npos);
   // Per-broker drift/occupancy series, refreshed by run_propagation_period.
   EXPECT_NE(text.find("subsum_summary_model_drift_ratio{broker=\"0\"}"),
@@ -378,7 +327,7 @@ TEST(SimQuality, ExpositionCarriesWalkQualityAndPerBrokerSeries) {
   EXPECT_EQ(sys.metrics().counter_value("subsum_walk_total"), events.size());
 
 #ifndef SUBSUM_NO_TELEMETRY
-  // The probe's precision gauge reflects the sampled ratio exactly.
+  // The probe's precision gauge reflects the counted ratio exactly.
   const double precision = sys.quality_probe().precision();
   EXPECT_GT(precision, 0.0);
   EXPECT_LE(precision, 1.0);

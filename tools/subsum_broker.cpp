@@ -23,8 +23,7 @@
 
 #include "config/config.h"
 #include "net/broker_node.h"
-#include "net/framing.h"
-#include "net/protocol.h"
+#include "net/cluster.h"
 #include "tool_args.h"
 
 namespace {
@@ -171,26 +170,9 @@ int main(int argc, char** argv) {
       // Act as the controller: clock the iterations across all brokers.
       // An unreachable broker is skipped for the rest of the period and
       // reported; live brokers still complete the round.
-      std::vector<char> failed(peers.size(), 0);
-      const auto max_degree = static_cast<uint32_t>(spec.graph.max_degree());
-      for (uint32_t it = 1; it <= max_degree; ++it) {
-        for (size_t b = 0; b < peers.size(); ++b) {
-          if (failed[b]) continue;
-          try {
-            net::Socket s = net::connect_local(peers[b], rpc.connect_timeout);
-            s.set_send_timeout(rpc.io_timeout);
-            s.set_recv_timeout(rpc.io_timeout * 10);
-            net::send_frame(s, net::MsgKind::kTrigger, net::encode(net::TriggerMsg{it}));
-            const auto ack = net::recv_frame(s);
-            if (!ack || ack->kind != net::MsgKind::kTriggerAck) {
-              throw net::NetError("trigger not acknowledged");
-            }
-          } catch (const std::exception& e) {
-            failed[b] = 1;
-            std::cerr << "propagation: broker " << b << " unreachable ("
-                      << e.what() << "); continuing without it\n";
-          }
-        }
+      for (const overlay::BrokerId b :
+           net::clock_propagation_period(spec.graph, peers, rpc).unreachable) {
+        std::cerr << "propagation: broker " << b << " unreachable; continuing without it\n";
       }
       std::cout << "propagation period completed" << std::endl;
     }

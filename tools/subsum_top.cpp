@@ -20,9 +20,9 @@
 //
 //   * one row per broker: up/down, epoch, uptime, local subs, lease
 //     population and expiries, publish and walk-efficiency counters,
-//     sampled summary precision, false-positive ids, wire-vs-model drift,
-//     and the soft-state announcement mix (delta sends, full sends,
-//     kSummarySync repair pulls);
+//     summary precision counted at the owners, false-positive ids,
+//     wire-vs-model drift, and the soft-state announcement mix (delta
+//     sends, full sends, kSummarySync repair pulls);
 //   * fleet aggregates: totals across live brokers, fleet precision
 //     (Σ exact / Σ candidates — NOT a mean of ratios), min/max drift, and
 //     the top-K brokers by false-positive count and by walk visit load.
@@ -79,7 +79,6 @@ struct BrokerRow {
   double full_sends = 0;
   double digest_mismatch = 0;
   double sync_pulls = 0;
-  double sampled = 0;
   double candidate_ids = 0;
   double exact_ids = 0;
   double fp_ids = 0;
@@ -148,7 +147,6 @@ BrokerRow parse_row(uint16_t port, const std::string& text) {
   r.full_sends = find_value(samples, "subsum_summary_full_sends_total");
   r.digest_mismatch = find_value(samples, "subsum_summary_digest_mismatch_total");
   r.sync_pulls = find_value(samples, "subsum_summary_sync_total");
-  r.sampled = find_value(samples, "subsum_quality_sampled_events_total");
   r.candidate_ids = find_value(samples, "subsum_quality_candidate_ids_total");
   r.exact_ids = find_value(samples, "subsum_quality_exact_ids_total");
   r.fp_ids = find_value(samples, "subsum_summary_false_positive_ids_total");
@@ -252,7 +250,7 @@ void render(const std::vector<BrokerRow>& rows, size_t top_k, size_t tick) {
     dmin = std::min(dmin, r->drift);
     dmax = std::max(dmax, r->drift);
   }
-  // Fleet precision weights brokers by sampled candidate ids, as eq (1)-(2)
+  // Fleet precision weights brokers by delivered candidate ids, as eq (1)-(2)
   // would: a ratio-of-sums, not a mean of per-broker ratios.
   const double fleet_precision = cand > 0 ? exact / cand : 1.0;
   std::printf(
@@ -312,7 +310,7 @@ void append_jsonl(std::ostream& os, const std::vector<BrokerRow>& rows, size_t t
          << ",\"local_subs\":" << r.local_subs << ",\"publishes\":" << r.publishes
          << ",\"walk_visits\":" << r.walk_visits << ",\"walk_forward\":" << r.walk_forward
          << ",\"walk_deliver\":" << r.walk_deliver
-         << ",\"walk_reselects\":" << r.walk_reselects << ",\"sampled\":" << r.sampled
+         << ",\"walk_reselects\":" << r.walk_reselects
          << ",\"candidate_ids\":" << r.candidate_ids << ",\"exact_ids\":" << r.exact_ids
          << ",\"fp_ids\":" << r.fp_ids << ",\"precision\":" << r.precision
          << ",\"model_drift_ratio\":" << r.drift
