@@ -5,11 +5,13 @@
 // The gate this feeds (tools/check_bench.py "churn"): delta announcements
 // must scale with the CHANGE RATE, not the subscription count — so
 // delta_bytes_per_period.n1m / delta_bytes_per_period.n100k (flat_ratio)
-// stays ~1 while full_bytes_per_period grows ~10x, and full-image
-// fallbacks (delta larger than delta_max_ratio x full) stay at zero in
-// steady state. Every period the delta is also applied to a receiver-side
-// shadow image and checked against the sender's digest — digest_mismatches
-// must be 0, the same invariant the anti-entropy repair path enforces.
+// stays ~1 while full_bytes_per_period grows ~10x. A broker sends a delta
+// whenever the peer acked a base, so full_image_fallbacks counts the
+// periods whose delta is larger than half the full image: it stays at
+// zero in steady state. Every period the delta is also applied to a
+// receiver-side shadow image and checked against the sender's digest —
+// digest_mismatches must be 0, the same invariant the anti-entropy repair
+// path enforces.
 //
 // Deterministic: fixed seeds, count/byte metrics only, and one shared wire
 // codec across both N so byte differences reflect structure, not id width.
@@ -34,7 +36,7 @@ struct ChurnRun {
   double delta_bytes = 0;  // mean encoded delta bytes per period
   double full_bytes = 0;   // mean encoded full image bytes per period
   double events = 0;       // mean subscribe+unsubscribe events per period
-  size_t fallbacks = 0;    // periods where the delta lost the ratio test
+  size_t fallbacks = 0;    // periods whose delta exceeds half the full image
   size_t mismatches = 0;   // shadow digest != wire digest after apply
 };
 
@@ -91,7 +93,7 @@ ChurnRun run_churn(const model::Schema& schema, const core::WireConfig& wire, si
     delta_bytes.add(static_cast<double>(delta_payload.size()));
     full_bytes.add(static_cast<double>(full));
     events.add(static_cast<double>(period.subscribes.size() + unsubs));
-    if (delta_payload.size() > full / 2) ++out.fallbacks;  // delta_max_ratio = 0.5
+    if (delta_payload.size() > full / 2) ++out.fallbacks;
 
     core::apply_delta(shadow, delta);
     if (core::image_digest(shadow) != hdr.new_digest) ++out.mismatches;

@@ -13,9 +13,9 @@
 //     announcement and applies the delta to it row-for-row (never through
 //     Aacs/Sacs insertion, which would split or generalize);
 //   * both sides agree the apply worked iff image_digest(shadow) equals the
-//     digest the sender stamped on the wire — on mismatch the receiver
-//     falls back to a full image (kSummarySync), so divergence is detected
-//     and healed within one propagation period.
+//     digest the sender stamped on the wire — on mismatch the receiver acks
+//     kNeedFull and the sender pushes its full image at once, so divergence
+//     is detected and healed within one propagation period.
 //
 // The digest is a commutative fold (sum mod 2^64 of per-row FNV-1a hashes),
 // so it is independent of row order and of how the summary was built.
@@ -109,7 +109,8 @@ SummaryDelta diff_images(const SummaryImage& base, const SummaryImage& target);
 /// Applies a delta in place. Total by design: dropping an absent row or
 /// deleting absent ids is a no-op — correctness is judged by the digest the
 /// sender stamped on the wire, not by apply-time bookkeeping, so a stale
-/// base surfaces as a digest mismatch (→ kSummarySync repair), never UB.
+/// base surfaces as a digest mismatch (→ kNeedFull, full-image repair),
+/// never UB.
 void apply_delta(SummaryImage& img, const SummaryDelta& d);
 
 /// Wire header carried by every encoded delta (PROTOCOL.md v4).

@@ -98,16 +98,15 @@ void export_shard_metrics(obs::MetricsRegistry& reg, const BrokerSummary& summar
 }
 
 double export_model_drift(obs::MetricsRegistry& reg, const BrokerSummary& summary,
-                          const WireConfig& wire, const PaperSizeParams& params,
+                          size_t wire_bytes, const PaperSizeParams& params,
                           std::string_view broker) {
   const auto name = [broker](std::string_view base) {
     return broker.empty() ? std::string(base) : obs::labeled(base, "broker", broker);
   };
-  const size_t actual = wire_size(summary, wire);
   const size_t predicted = paper_size(summary.stats(), params, /*measured_ssv=*/true).total();
   const double ratio =
-      predicted == 0 ? 0.0 : static_cast<double>(actual) / static_cast<double>(predicted);
-  reg.gauge(name("subsum_summary_wire_bytes"))->set(static_cast<int64_t>(actual));
+      predicted == 0 ? 0.0 : static_cast<double>(wire_bytes) / static_cast<double>(predicted);
+  reg.gauge(name("subsum_summary_wire_bytes"))->set(static_cast<int64_t>(wire_bytes));
   reg.gauge(name("subsum_summary_model_bytes"))->set(static_cast<int64_t>(predicted));
   reg.fgauge(name("subsum_summary_model_drift_ratio"))->set(ratio);
   return ratio;

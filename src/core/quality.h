@@ -81,10 +81,11 @@ void export_row_occupancy(obs::MetricsRegistry& reg, const BrokerSummary& summar
 ///   subsum_summary_wire_bytes        actual encode_summary() size
 ///   subsum_summary_model_bytes       equations (1)-(2) prediction
 ///   subsum_summary_model_drift_ratio wire / model (0 when model is 0)
-/// Returns the drift ratio. Admin path only: this encodes the summary to
-/// measure it. A non-empty `broker` labels the gauges `{broker="..."}`.
+/// `wire_bytes` is the summary's encoded size (wire_size), measured by the
+/// caller so one encode can feed every gauge that reports it. Returns the
+/// drift ratio. A non-empty `broker` labels the gauges `{broker="..."}`.
 double export_model_drift(obs::MetricsRegistry& reg, const BrokerSummary& summary,
-                          const WireConfig& wire, const PaperSizeParams& params = {},
+                          size_t wire_bytes, const PaperSizeParams& params = {},
                           std::string_view broker = {});
 
 /// Shard-balance exports for the summary's frozen match index (PR-6):

@@ -56,9 +56,8 @@ BrokerNode::BrokerNode(BrokerConfig cfg)
   ctr_full_sends_ = metrics_.counter("subsum_summary_full_sends_total");
   ctr_delta_bytes_ = metrics_.counter("subsum_summary_delta_bytes_total");
   ctr_full_bytes_ = metrics_.counter("subsum_summary_full_bytes_total");
-  ctr_delta_fallbacks_ = metrics_.counter("subsum_summary_full_fallback_total");
   ctr_digest_mismatch_ = metrics_.counter("subsum_summary_digest_mismatch_total");
-  ctr_sync_requests_ = metrics_.counter("subsum_summary_sync_total");
+  ctr_repairs_ = metrics_.counter("subsum_summary_sync_total");
   hist_match_ = metrics_.histogram_ex("subsum_match_latency_us");
   gauge_trace_dropped_ = metrics_.gauge("subsum_trace_spans_dropped_total");
   hist_peer_rpc_.resize(cfg_.graph.size());
@@ -174,7 +173,7 @@ void BrokerNode::stop() {
   stop_cv_.notify_all();
   listener_.close();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> handlers;
+  std::list<Handler> handlers;
   {
     std::lock_guard lk(threads_mu_);
     handlers.swap(handlers_);
@@ -187,8 +186,8 @@ void BrokerNode::stop() {
     }
     conns_.clear();
   }
-  for (auto& t : handlers) {
-    if (t.joinable()) t.join();
+  for (auto& h : handlers) {
+    if (h.thread.joinable()) h.thread.join();
   }
   // The profiler is process-wide; only the node that armed it disarms it
   // (captured samples stay drainable for post-stop inspection) and dumps
@@ -260,10 +259,24 @@ void BrokerNode::accept_loop() {
   while (!stopping_) {
     auto sock = listener_.accept();
     if (!sock) break;
-    std::lock_guard lk(threads_mu_);
-    if (stopping_) break;
-    handlers_.emplace_back(
-        [this, s = std::move(*sock)]() mutable { handle_connection(std::move(s)); });
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard lk(threads_mu_);
+      if (stopping_) break;
+      Handler& h = handlers_.emplace_back();
+      h.thread = std::thread([this, &h, s = std::move(*sock)]() mutable {
+        handle_connection(std::move(s));
+        h.done = true;
+      });
+      // An unjoined thread keeps its stack mapped: take out the handlers
+      // that finished, and join them once the new handler can register.
+      handlers_.remove_if([&finished](Handler& old) {
+        if (!old.done) return false;
+        finished.push_back(std::move(old.thread));
+        return true;
+      });
+    }
+    for (auto& t : finished) t.join();
   }
 }
 
@@ -329,9 +342,6 @@ void BrokerNode::handle_connection(Socket sock) {
           break;
         case MsgKind::kSummaryDelta:
           on_summary_delta(sock, *conn, *frame);
-          break;
-        case MsgKind::kSummarySync:
-          on_summary_sync(sock, *conn, *frame);
           break;
         case MsgKind::kLeaseRenew:
           on_lease_renew(sock, *conn, *frame);
@@ -735,7 +745,8 @@ void BrokerNode::on_summary_delta(Socket& s, ClientConn& conn, const Frame& f) {
       if (it == shadows_.end() || it->second.version != hdr.base_version ||
           it->second.digest != hdr.base_digest) {
         // No shadow (first contact, restart) or a different base than the
-        // diff assumes: only a full image can re-anchor this link.
+        // diff assumes: only a full image can re-anchor this link. The
+        // sender pushes one, with this delta's removals, on kNeedFull.
         need_full = true;
         return false;
       }
@@ -744,8 +755,8 @@ void BrokerNode::on_summary_delta(Socket& s, ClientConn& conn, const Frame& f) {
       const uint64_t got = core::image_digest(sh.image);
       if (got != hdr.new_digest) {
         // The edits did not land on the digest the sender stamped: the
-        // link diverged. Leave the shadow as-is — the sync below replaces
-        // it wholesale.
+        // link diverged. Leave the shadow as-is — the sender's full image
+        // replaces it wholesale.
         ctr_digest_mismatch_->inc();
         need_full = true;
         return false;
@@ -774,50 +785,10 @@ void BrokerNode::on_summary_delta(Socket& s, ClientConn& conn, const Frame& f) {
       return true;
     });
   }
-  if (need_full) {
-    // Pull the repair BEFORE acking: when the ack (kNeedFull) reaches the
-    // sender, this side already converged — divergence never outlives the
-    // period that detected it. No deadlock: the sender's sync handler
-    // runs on its own connection thread and mu_ is never held across a
-    // network call.
-    try {
-      sync_from_peer(msg.from);
-    } catch (const PeerUnreachable&) {
-      // Sender vanished mid-announcement; the shadow stays unanchored and
-      // the next full (state-based resend) re-seeds it.
-    }
-  }
   SummaryDeltaAckMsg ack;
   ack.status = need_full ? SummaryDeltaAckMsg::kNeedFull : SummaryDeltaAckMsg::kApplied;
   std::lock_guard wl(conn.write_mu);
   send_frame(s, MsgKind::kSummaryDeltaAck, encode(ack));
-}
-
-void BrokerNode::on_summary_sync(Socket& s, ClientConn& conn, const Frame& f) {
-  const auto req = decode_summary_sync_msg(f.payload);
-  std::vector<std::byte> payload;
-  {
-    std::lock_guard lk(mu_);
-    // pending_removals_ stays queued: a sync is a repair pull, not this
-    // period's announcement, and removals must reach every neighbor.
-    PendingSend send;
-    send.to = req.from;
-    payload = encode_full_locked(send);
-    // The requester's shadow becomes exactly this image, so future deltas
-    // to it must diff against it.
-    if (req.from < cfg_.graph.size()) {
-      record_last_sent_locked(std::move(send), /*was_full=*/true);
-    }
-  }
-  std::lock_guard wl(conn.write_mu);
-  send_frame(s, MsgKind::kSummarySyncAck, payload);
-}
-
-void BrokerNode::sync_from_peer(BrokerId peer) {
-  ctr_sync_requests_->inc();
-  const auto payload = encode(SummarySyncMsg{cfg_.id});
-  Frame ack = rpc_to_peer(peer, MsgKind::kSummarySync, payload);
-  ingest_full_summary(decode_summary_msg(ack.payload));
 }
 
 void BrokerNode::on_lease_renew(Socket& s, ClientConn& conn, const Frame& f) {
@@ -877,43 +848,44 @@ std::optional<BrokerNode::PendingSend> BrokerNode::prepare_summary_send(uint32_t
   }
   if (cfg_.graph.degree(cfg_.id) != iteration) return std::nullopt;
   const auto target = routing::send_target(cfg_.graph, cfg_.id, communicated_);
-  if (!target) return std::nullopt;
+  if (!target) {
+    // Every eligible neighbor already sent here this period, so nothing
+    // carries the queued removals; any later announcement's image already
+    // leaves those ids out.
+    pending_removals_.clear();
+    return std::nullopt;
+  }
   communicated_[*target] = 1;
 
   PendingSend send;
   send.to = *target;
   send.removals = std::exchange(pending_removals_, {});
-  auto full_payload = encode_full_locked(send);
-
-  // Delta path: only against an acked base, and never past the periodic
+  // A peer that acked a base gets a delta, except for the periodic
   // full-refresh backstop.
   const auto ls = last_sent_.find(*target);
-  if (ls != last_sent_.end() && ls->second.sends_since_full + 1 < kDeltaFullRefreshEvery) {
-    core::DeltaHeader hdr;
-    hdr.epoch = epoch_;
-    hdr.base_version = ls->second.version;
-    hdr.new_version = send.version;
-    hdr.base_digest = ls->second.digest;
-    hdr.new_digest = send.digest;
-    SummaryDeltaMsg dm;
-    dm.from = cfg_.id;
-    dm.merged_brokers = merged_brokers_;
-    dm.epochs = merged_epochs_locked();
-    dm.removals = send.removals;
-    dm.delta = core::encode_delta(core::diff_images(ls->second.image, send.image),
-                                  cfg_.schema, wire_, hdr);
-    auto delta_payload = encode(dm);
-    if (static_cast<double>(delta_payload.size()) <=
-        cfg_.delta_max_ratio * static_cast<double>(full_payload.size())) {
-      send.kind = MsgKind::kSummaryDelta;
-      send.payload = std::move(delta_payload);
-      return send;
-    }
-    // The change rate outgrew the diff: the full image is cheaper.
-    ctr_delta_fallbacks_->inc();
+  if (ls == last_sent_.end() || ls->second.sends_since_full + 1 >= kDeltaFullRefreshEvery) {
+    send.kind = MsgKind::kSummary;
+    send.payload = encode_full_locked(send);
+    return send;
   }
-  send.kind = MsgKind::kSummary;
-  send.payload = std::move(full_payload);
+  send.image = core::extract_image(held_);
+  send.version = held_.version();
+  send.digest = core::image_digest(send.image);
+  core::DeltaHeader hdr;
+  hdr.epoch = epoch_;
+  hdr.base_version = ls->second.version;
+  hdr.new_version = send.version;
+  hdr.base_digest = ls->second.digest;
+  hdr.new_digest = send.digest;
+  SummaryDeltaMsg dm;
+  dm.from = cfg_.id;
+  dm.merged_brokers = merged_brokers_;
+  dm.epochs = merged_epochs_locked();
+  dm.removals = send.removals;
+  dm.delta = core::encode_delta(core::diff_images(ls->second.image, send.image), cfg_.schema,
+                                wire_, hdr);
+  send.kind = MsgKind::kSummaryDelta;
+  send.payload = encode(dm);
   return send;
 }
 
@@ -930,12 +902,6 @@ std::vector<std::byte> BrokerNode::encode_full_locked(PendingSend& send) const {
   full.version = send.version;
   full.digest = send.digest;
   return encode(full);
-}
-
-void BrokerNode::record_last_sent_locked(PendingSend&& send, bool was_full) {
-  LastSent& ls = last_sent_[send.to];
-  const uint32_t streak = was_full ? 0 : ls.sends_since_full + 1;
-  ls = LastSent{std::move(send.image), send.version, send.digest, streak};
 }
 
 std::vector<uint64_t> BrokerNode::merged_epochs_locked() const {
@@ -958,19 +924,32 @@ void BrokerNode::on_trigger(Socket& s, ClientConn& conn, const Frame& f) {
   }
   auto send = prepare_summary_send(msg.iteration);
   if (send) {
-    try {
+    // Sends `send` and counts it; true when the peer now holds its image.
+    const auto announce = [&] {
       const Frame ack = rpc_to_peer(send->to, send->kind, send->payload);
       const bool full = send->kind == MsgKind::kSummary;
       (full ? ctr_full_sends_ : ctr_delta_sends_)->inc();
       (full ? ctr_full_bytes_ : ctr_delta_bytes_)->inc(send->payload.size());
-      // A delta acked kNeedFull is not recorded: the receiver already
-      // pulled a full image through kSummarySync before acking, and
-      // on_summary_sync reset this peer's last_sent to that image.
-      if (full ||
-          decode_summary_delta_ack(ack.payload).status == SummaryDeltaAckMsg::kApplied) {
-        std::lock_guard lk(mu_);
-        record_last_sent_locked(std::move(*send), full);
+      return full ||
+             decode_summary_delta_ack(ack.payload).status == SummaryDeltaAckMsg::kApplied;
+    };
+    try {
+      if (!announce()) {
+        // The peer holds no base for the delta (a restart, a divergence):
+        // push the full image, carrying the same removals, in this trigger.
+        ctr_repairs_->inc();
+        {
+          std::lock_guard lk(mu_);
+          send->kind = MsgKind::kSummary;
+          send->payload = encode_full_locked(*send);
+        }
+        announce();
       }
+      std::lock_guard lk(mu_);
+      LastSent& ls = last_sent_[send->to];
+      const uint32_t streak =
+          send->kind == MsgKind::kSummary ? 0 : ls.sends_since_full + 1;
+      ls = LastSent{std::move(send->image), send->version, send->digest, streak};
     } catch (const PeerUnreachable&) {
       // Dead neighbor: the summary itself is not lost — the state-based
       // resend repeats every period — but the removal piggyback must
@@ -1050,6 +1029,14 @@ uint64_t image_bytes(const core::SummaryImage& im) noexcept {
   }
   return b;
 }
+
+/// Estimated resident bytes of a summary from its row and id counts: the
+/// rows, their id vectors and string operands. O(rows); nothing encoded.
+uint64_t summary_bytes(const core::BrokerSummary& s) noexcept {
+  const core::SummaryStats st = s.stats();
+  return (st.nsr + st.ne) * sizeof(core::Aacs::Piece) + st.nr * sizeof(core::Sacs::Row) +
+         (st.la_entries + st.ls_entries) * sizeof(model::SubId) + st.value_bytes;
+}
 }  // namespace
 
 void BrokerNode::refresh_memory_accounting() {
@@ -1058,7 +1045,7 @@ void BrokerNode::refresh_memory_accounting() {
   uint64_t redeliver_b = 0;
   {
     std::lock_guard lk(mu_);
-    held_b = core::wire_size(held_, wire_);
+    held_b = summary_bytes(held_);
     if (const auto idx = held_.frozen_if_built()) index_b = idx->memory_bytes();
     for (const auto& [b, sh] : shadows_) shadow_b += image_bytes(sh.image);
     // The last_sent_ delta bases are full images this broker retains too.
@@ -1117,9 +1104,10 @@ void BrokerNode::on_stats(Socket& s, ClientConn& conn, const Frame&) {
   {
     // The summary gauges are computed here and only here: the held image
     // changes on subscribes, ingests and rebuilds, and only a scrape reads
-    // them.
+    // them. The snapshot's one encode measures the wire size for both
+    // gauges that report it.
     std::lock_guard lk(mu_);
-    core::export_model_drift(metrics_, held_, wire_);
+    core::export_model_drift(metrics_, held_, snap.held_wire_bytes);
     core::export_row_occupancy(metrics_, held_);
     core::export_shard_metrics(metrics_, held_);
   }

@@ -1,6 +1,8 @@
 // A real broker daemon speaking the subsum protocol over TCP.
 //
-// Each BrokerNode runs a listener plus one handler thread per connection.
+// Each BrokerNode runs a listener plus one handler thread per connection;
+// the accept loop joins the handlers that finished as it goes, so a
+// long-running broker does not accumulate dead threads' stacks.
 // It keeps the same state as a SimSystem broker: the home table
 // (core::HomeTable: its own subscriptions, their leases and the c2
 // allocator), the held merged summary, and the Merged_Brokers set. The
@@ -9,15 +11,16 @@
 //
 // Algorithm 2 runs as externally clocked rounds: a controller (see
 // cluster.h) sends kTrigger(iteration) to every node; a node whose degree
-// equals the iteration performs its single summary send synchronously
+// equals the iteration performs its summary send synchronously
 // (connect -> kSummary/kSummaryDelta -> ack) before acknowledging the
 // trigger, so a round barrier at the controller yields exactly the paper's
 // iteration semantics. Unlike the bandwidth-measured sim layer, each
 // period's announcement describes the node's whole held image: a row delta
-// against the image the neighbor last acked, or the full image when the
-// neighbor holds no such base, when the delta would not pay for itself and
-// on the periodic refresh (a state-based, self-healing variant; merging is
-// idempotent).
+// whenever the neighbor has acked a base, or the full image on first
+// contact and on the periodic refresh (a state-based, self-healing
+// variant; merging is idempotent). Announcements flow one way, sender to
+// receiver: a receiver that cannot apply a delta acks kNeedFull and the
+// sender pushes its full image within the same trigger.
 //
 // Algorithm 3 runs fully in-band: kPublish starts the BROCLI walk at the
 // client's broker; each broker matches, sends kDeliver to fresh owners,
@@ -70,6 +73,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -141,11 +145,6 @@ struct BrokerConfig {
   /// within the window is expired at the period boundary exactly like an
   /// unsubscribe.
   uint32_t default_lease_periods = 0;
-  /// Summary changes are announced as row deltas against the last acked
-  /// image. The full image is sent instead when the encoded delta frame
-  /// exceeds this fraction of the full frame (counted in
-  /// subsum_summary_full_fallback_total).
-  double delta_max_ratio = 0.5;
   // --- overload governor (net/governor.h) -----------------------------------
   /// Backpressure, admission control, peer circuit breakers, and the
   /// degradation ladder. Defaults are permissive (no rate limit, no
@@ -272,8 +271,10 @@ class BrokerNode {
   /// Recomputes per-component memory attribution (obs/memacct.h) from the
   /// live owners — frozen index, held/shadow images, WAL/snapshot bytes,
   /// queues, rings — and pushes the governor-external sum into the
-  /// degradation ladder. Called on every kStats scrape and at each period
-  /// boundary; tests call it directly for deterministic rung assertions.
+  /// degradation ladder. The held summary is estimated from its row and
+  /// id counts, never encoded. Called on every kStats scrape and at each
+  /// period boundary; tests call it directly for deterministic rung
+  /// assertions.
   void refresh_memory_accounting();
 
   /// The component byte ledger (read-side for tests and subsum_top).
@@ -327,7 +328,6 @@ class BrokerNode {
   void on_publish(Socket& s, ClientConn& conn, const Frame& f);
   void on_summary(Socket& s, ClientConn& conn, const Frame& f);
   void on_summary_delta(Socket& s, ClientConn& conn, const Frame& f);
-  void on_summary_sync(Socket& s, ClientConn& conn, const Frame& f);
   void on_lease_renew(Socket& s, ClientConn& conn, const Frame& f);
   void on_event(Socket& s, ClientConn& conn, const Frame& f);
   void on_deliver(Socket& s, ClientConn& conn, const Frame& f);
@@ -366,8 +366,8 @@ class BrokerNode {
                     std::optional<std::chrono::milliseconds> ack_timeout = {},
                     uint64_t trace = 0);
 
-  /// Full-image ingest for kSummary frames and kSummarySync acks: shadow
-  /// refresh and merge, through ingest_locked.
+  /// Full-image ingest for kSummary frames: shadow refresh and merge,
+  /// through ingest_locked.
   void ingest_full_summary(SummaryMsg msg);
 
   /// The ingest steps every announcement shares, for `msg` whose body is
@@ -398,11 +398,6 @@ class BrokerNode {
   /// own-table rows plus the shadow images.
   void begin_period();
 
-  /// Anti-entropy pull: fetches `peer`'s full image over kSummarySync and
-  /// ingests it. Called on a delta base/digest mismatch, BEFORE the delta
-  /// ack goes out, so divergence heals within the same period.
-  void sync_from_peer(overlay::BrokerId peer);
-
   /// Failed kDeliver payloads, re-tried at the start of each propagation
   /// period until their ttl expires (at-most-once: bounded, in-memory).
   static constexpr int kRedeliveryTtl = 8;  // periods a failed delivery is retried
@@ -416,10 +411,12 @@ class BrokerNode {
   void queue_redelivery(PendingDelivery pd);
   void flush_pending_deliveries();
 
-  /// Builds this period's announcement under `mu_`, choosing the eligible
-  /// neighbor and full-vs-delta encoding; returns nullopt when there is
-  /// nothing to send. The announced image rides along so the sender can
-  /// install it as the peer's delta base once the ack lands.
+  /// Builds this period's announcement under `mu_`: a delta when the
+  /// eligible neighbor has acked a base and no full refresh is due, else
+  /// the full image. Returns nullopt when there is nothing to send; a
+  /// broker whose iteration finds no target drops its removal queue, which
+  /// nothing could carry. The announced image rides along so the sender
+  /// can install it as the peer's delta base once the ack lands.
   struct PendingSend {
     overlay::BrokerId to = 0;
     MsgKind kind = MsgKind::kSummary;
@@ -435,9 +432,6 @@ class BrokerNode {
   /// the announced image, version and digest in `send`. Caller holds mu_.
   std::vector<std::byte> encode_full_locked(PendingSend& send) const;
 
-  /// Installs `send`'s image as the peer's delta base. Caller holds mu_.
-  void record_last_sent_locked(PendingSend&& send, bool was_full);
-
   /// Epochs aligned with merged_brokers_ (own id -> epoch_). Under mu_.
   [[nodiscard]] std::vector<uint64_t> merged_epochs_locked() const;
 
@@ -449,8 +443,14 @@ class BrokerNode {
   std::mutex stop_mu_;                // pairs with stop_cv_ for retry sleeps
   std::condition_variable stop_cv_;   // woken by stop(): bounded shutdown
 
+  /// One connection's handler thread. `done` is its last act, so joining
+  /// a done handler waits only for the thread's exit, never on its work.
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
   std::mutex threads_mu_;
-  std::vector<std::thread> handlers_;
+  std::list<Handler> handlers_;  // done ones are joined on the next accept
   std::vector<std::weak_ptr<ClientConn>> conns_;  // for shutdown on stop()
 
   /// Per-sender mirror of the last announced image: the base a delta from
@@ -461,7 +461,8 @@ class BrokerNode {
     uint64_t digest = 0;
   };
   /// Per-neighbor copy of the image we last announced (and the peer
-  /// acked): the base the next outgoing delta is diffed against.
+  /// acked): the base the next outgoing delta is diffed against. Written
+  /// only by on_trigger, once the ack is in.
   struct LastSent {
     core::SummaryImage image;
     uint64_t version = 0;
@@ -470,7 +471,7 @@ class BrokerNode {
   };
   /// After kDeltaFullRefreshEvery - 1 consecutive delta sends to a peer,
   /// the next send is a full image: an anti-entropy backstop on top of
-  /// digest repair.
+  /// the kNeedFull repair.
   static constexpr uint32_t kDeltaFullRefreshEvery = 16;
 
   mutable std::mutex mu_;
@@ -524,9 +525,8 @@ class BrokerNode {
   obs::Counter* ctr_full_sends_ = nullptr;       // subsum_summary_full_sends_total
   obs::Counter* ctr_delta_bytes_ = nullptr;      // subsum_summary_delta_bytes_total
   obs::Counter* ctr_full_bytes_ = nullptr;       // subsum_summary_full_bytes_total
-  obs::Counter* ctr_delta_fallbacks_ = nullptr;  // subsum_summary_full_fallback_total
   obs::Counter* ctr_digest_mismatch_ = nullptr;  // subsum_summary_digest_mismatch_total
-  obs::Counter* ctr_sync_requests_ = nullptr;    // subsum_summary_sync_total
+  obs::Counter* ctr_repairs_ = nullptr;  // subsum_summary_sync_total: kNeedFull answered
   obs::Histogram* hist_match_ = nullptr;        // subsum_match_latency_us
   std::vector<obs::Histogram*> hist_peer_rpc_;  // subsum_peer_rpc_latency_us{peer="N"}
   std::vector<obs::Counter*> ctr_peer_retries_;  // subsum_peer_rpc_retries_total{peer="N"}

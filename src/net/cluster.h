@@ -50,7 +50,7 @@ class Cluster {
   /// stores its WAL/snapshot/epoch under <data_dir>/broker-<b>, and
   /// restart(b) recovers from it instead of coming back empty.
   /// `tweak`, when set, customizes every broker's config (lease defaults,
-  /// delta knobs, ...) at construction and on every restart.
+  /// governor budgets, ...) at construction and on every restart.
   Cluster(const model::Schema& schema, const overlay::Graph& graph,
           core::GeneralizePolicy policy = core::GeneralizePolicy::kSafe,
           RpcPolicy rpc = {}, std::string data_dir = {}, ConfigTweak tweak = {});
@@ -82,8 +82,8 @@ class Cluster {
   ///
   /// `tweak`, when set, becomes broker b's persistent config override: it
   /// is applied (after the cluster-wide tweak) to this restart and every
-  /// later one — e.g. shrink lease windows or force full-image
-  /// announcements on a single node without rebuilding the cluster.
+  /// later one — e.g. shrink lease windows or governor budgets on a single
+  /// node without rebuilding the cluster.
   void restart(overlay::BrokerId b, ConfigTweak tweak = {});
 
   [[nodiscard]] bool alive(overlay::BrokerId b) const { return !nodes_.at(b)->stopped(); }

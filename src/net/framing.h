@@ -33,8 +33,7 @@ enum class MsgKind : uint8_t {
   kDeliverAck = 21,
   kSummaryDelta = 22,  // v4: row edits against an (epoch, version) base
   kSummaryDeltaAck = 23,
-  kSummarySync = 24,  // v4: anti-entropy repair — request a full image
-  kSummarySyncAck = 25,
+  // 24/25 (v4's repair pull) are retired since v5: answered kError.
   // control plane
   kTrigger = 32,  // run propagation iteration i
   kTriggerAck = 33,

@@ -25,10 +25,11 @@
 //   4. A degradation ladder driven by usage/budget. Rungs shed in strict
 //      priority order: the owner-side quality count, then trace spans,
 //      then TTL'd redeliveries, then new publish admissions. Control-plane
-//      traffic (summary announcements, deltas, leases, kSummarySync
-//      anti-entropy) is NEVER shed — soft-state convergence must survive
-//      overload — and the `control` shed counter exists only so tests and
-//      operators can assert it stays zero.
+//      traffic (summary announcements — deltas, full images, the full
+//      image that repairs a refused delta — and leases) is NEVER shed —
+//      soft-state convergence must survive overload — and the `control`
+//      shed counter exists only so tests and operators can assert it
+//      stays zero.
 //
 // Timing and accounting use std::chrono::steady_clock and the governor's
 // own atomics — NOT obs::now_us(), which compiles to a constant 0 under
@@ -95,9 +96,13 @@ struct GovernorConfig {
   std::chrono::milliseconds breaker_cooldown{150};
 
   // --- degradation ladder ---------------------------------------------------
-  /// Global budget for governor-accounted bytes (outbound queues + the
-  /// redelivery queue). Usage/budget drives the ladder rung.
-  size_t memory_budget_bytes = 8u << 20;
+  /// Global budget for governor-accounted bytes: outbound queues, the
+  /// redelivery queue and the memory ledger's growth lines (index arenas,
+  /// summaries, WAL and snapshot buffers). Usage/budget drives the ladder
+  /// rung. The default keeps a broker holding fanout_heavy-sized tables on
+  /// rung 0: a 20k-subscription owner accounts ~15 MB, a sink merging two
+  /// such owners ~32 MB.
+  size_t memory_budget_bytes = size_t{128} << 20;
 };
 
 /// Deterministic token bucket; the caller supplies timestamps (µs on any

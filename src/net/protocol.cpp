@@ -218,17 +218,6 @@ SummaryDeltaAckMsg decode_summary_delta_ack(std::span<const std::byte> b) {
   return m;
 }
 
-std::vector<std::byte> encode(const SummarySyncMsg& m) {
-  util::BufWriter w;
-  w.put_u32(m.from);
-  return std::move(w).take();
-}
-
-SummarySyncMsg decode_summary_sync_msg(std::span<const std::byte> b) {
-  util::BufReader r(b);
-  return {r.get_u32()};
-}
-
 std::vector<std::byte> encode(const LeaseRenewMsg& m) {
   util::BufWriter w;
   put_sub_ids(w, m.ids);

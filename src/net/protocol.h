@@ -54,9 +54,9 @@ struct ErrorMsg {
   uint32_t retry_after_ms = 0;  // 0 = no hint
 };
 
-/// The envelope every summary announcement shares (kSummary,
-/// kSummaryDelta, kSummarySyncAck). On the wire it precedes the
-/// length-prefixed body blob, and one encoder/decoder pair codes it.
+/// The envelope every summary announcement shares (kSummary and
+/// kSummaryDelta). On the wire it precedes the length-prefixed body blob,
+/// and one encoder/decoder pair codes it.
 struct SummaryEnvelope {
   overlay::BrokerId from = 0;
   std::vector<overlay::BrokerId> merged_brokers;
@@ -79,16 +79,11 @@ struct SummaryDeltaMsg : SummaryEnvelope {
 };
 
 /// Delta-ack status: whether the receiver's shadow landed on the digest the
-/// sender stamped. kNeedFull receivers follow up with kSummarySync.
+/// sender stamped. A sender whose delta is acked kNeedFull answers with its
+/// full image (PROTOCOL v5: announcements only ever flow sender → receiver).
 struct SummaryDeltaAckMsg {
   enum Status : uint8_t { kApplied = 0, kNeedFull = 1 };
   uint8_t status = kApplied;
-};
-
-/// Anti-entropy repair request: "send me your full current image". The ack
-/// payload is an encoded SummaryMsg (version/digest stamped).
-struct SummarySyncMsg {
-  overlay::BrokerId from = 0;  // requester, so the sender can reset last_sent
 };
 
 /// Sent by a reconnecting client to re-bind subscription ids it already
@@ -186,9 +181,6 @@ SummaryDeltaMsg decode_summary_delta_msg(std::span<const std::byte> b);
 
 std::vector<std::byte> encode(const SummaryDeltaAckMsg& m);
 SummaryDeltaAckMsg decode_summary_delta_ack(std::span<const std::byte> b);
-
-std::vector<std::byte> encode(const SummarySyncMsg& m);
-SummarySyncMsg decode_summary_sync_msg(std::span<const std::byte> b);
 
 std::vector<std::byte> encode(const LeaseRenewMsg& m);
 LeaseRenewMsg decode_lease_renew_msg(std::span<const std::byte> b);

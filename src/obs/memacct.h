@@ -1,10 +1,11 @@
 // Per-component memory attribution: where a live broker's bytes actually
 // are. The paper's efficiency claim is a memory claim as much as a CPU
 // claim (summaries ARE the routing state, §3-§4), so the broker accounts
-// its big owners explicitly — frozen-index arenas, held/shadow summary
-// images, WAL + snapshot buffers, outbound queues, the trace/flight/
-// profiler rings, exemplar slots — and exports each as
-// `subsum_mem_bytes{component=...}`.
+// its big owners explicitly — frozen-index arenas, the held summary and
+// the shadow/last-sent images, WAL + snapshot buffers, outbound queues,
+// the trace/flight/profiler rings, exemplar slots — and exports each as
+// `subsum_mem_bytes{component=...}`. Summary lines are resident-byte
+// estimates from row and id counts, so a refresh never encodes anything.
 //
 // Two consumers, two contracts:
 //
@@ -39,7 +40,7 @@ namespace subsum::obs {
 /// here and in to_string() together.
 enum class MemComponent : uint8_t {
   kIndexArenas = 0,    // frozen-index slot/entry/row arenas (core/frozen_index.h)
-  kHeldSummary,        // the held merged summary's wire image
+  kHeldSummary,        // the held merged summary (resident-bytes estimate)
   kShadowSummaries,    // per-sender mirrored images (delta bases)
   kWalBuffers,         // WAL records appended since the last compaction
   kSnapshotBuffers,    // the last snapshot encoding

@@ -133,9 +133,10 @@ routing::PropagationResult SimSystem::run_propagation_period() {
   // wire-vs-model drift and per-attribute row occupancy, per broker.
   for (BrokerId b = 0; b < broker_count(); ++b) {
     const std::string label = std::to_string(b);
-    core::export_model_drift(metrics_, state_.held[b], wire_, {}, label);
-    core::export_row_occupancy(metrics_, state_.held[b], label);
-    core::export_shard_metrics(metrics_, state_.held[b], label);
+    const core::BrokerSummary& held = state_.held[b];
+    core::export_model_drift(metrics_, held, core::wire_size(held, wire_), {}, label);
+    core::export_row_occupancy(metrics_, held, label);
+    core::export_shard_metrics(metrics_, held, label);
   }
   return period;
 }

@@ -66,12 +66,7 @@ TEST(ChurnChaos, ShadowDigestsConvergeAfterKillRestartAndBlackhole) {
   const overlay::Graph g = overlay::fig7_tree();
   const size_t n = g.size();
   // Durable: kill/restart recovers subscriptions AND lease windows.
-  // delta_max_ratio is raised way past its production default because the
-  // test's summaries are tiny — churn-sized deltas would always lose the
-  // ratio test and fall back to full images, which heals too, but would
-  // mask the kSummarySync repair path this test exists to exercise.
-  Cluster cluster(s, g, core::GeneralizePolicy::kSafe, tight_policy(), scratch_dir(),
-                  [](BrokerConfig& cfg) { cfg.delta_max_ratio = 64.0; });
+  Cluster cluster(s, g, core::GeneralizePolicy::kSafe, tight_policy(), scratch_dir());
 
   std::vector<std::unique_ptr<Client>> clients(n);
   for (BrokerId b = 0; b < n; ++b) clients[b] = cluster.connect(b, tight_client());
@@ -94,8 +89,8 @@ TEST(ChurnChaos, ShadowDigestsConvergeAfterKillRestartAndBlackhole) {
   // reachable: pairing sends summaries up the degree gradient, so the hub
   // (broker 4, degree 5) takes deltas from brokers 1, 2, 3 and 5. Killing
   // it wipes its in-memory shadows while the senders keep their last-sent
-  // bases — after restart the first delta hits an unknown base and must
-  // pull a kSummarySync full image.
+  // bases — after restart the first delta hits an unknown base, is acked
+  // kNeedFull, and its sender must push the full image.
   const BrokerId victim_broker = 4;
   const BrokerId hole_a = 0;
   const BrokerId hole_b = g.neighbors(0).front();
@@ -189,7 +184,8 @@ TEST(ChurnChaos, ShadowDigestsConvergeAfterKillRestartAndBlackhole) {
   }
 
   // The run exercised the machinery it claims to: deltas engaged, the
-  // kill/restart forced at least one kSummarySync repair pull, and some
+  // kill/restart forced at least one sender to answer kNeedFull with its
+  // full image (subsum_summary_sync_total counts those repairs), and some
   // leases expired unrenewed.
   uint64_t delta_sends = 0, syncs = 0, lease_expired = 0;
   for (BrokerId b = 0; b < n; ++b) {

@@ -1,7 +1,8 @@
 // Soft-state delta machinery (core/delta.h, PROTOCOL v4): canonical image
 // extraction, order-independent digests, diff/apply round trips under
 // randomized churn, wire round trips, and the digest-mismatch detection the
-// anti-entropy repair path (kSummarySync) is built on.
+// anti-entropy repair path (kNeedFull, answered with a full image) is built
+// on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -193,7 +194,7 @@ TEST(Delta, StaleBaseSurfacesAsDigestMismatch) {
     EXPECT_NE(image_digest(stale), image_digest(target))
         << "stale apply happened to collide; seed " << seed;
 
-    // Repair: a full image (kSummarySync) replaces the shadow outright.
+    // Repair: the sender's full image replaces the shadow outright.
     stale = target;
     EXPECT_EQ(image_digest(stale), image_digest(target));
   }

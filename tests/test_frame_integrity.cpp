@@ -119,8 +119,8 @@ std::vector<std::pair<MsgKind, std::vector<std::byte>>> valid_payloads(
   out.emplace_back(MsgKind::kError, encode(ErrorMsg{ErrorMsg::kThrottled, 250}));
 
   // v4 soft-state frames (PROTOCOL v4): a structurally valid delta
-  // announcement, a sync request, and lease renewals — plus their acks,
-  // which are client/peer-bound and must be harmless as unknowns.
+  // announcement and lease renewals — plus their acks, which are
+  // client/peer-bound and must be harmless as unknowns.
   {
     core::BrokerSummary grown = summary;
     const auto sub2 = SubscriptionBuilder(s).where("symbol", Op::kEq, "probe2").build();
@@ -140,12 +140,18 @@ std::vector<std::pair<MsgKind, std::vector<std::byte>>> valid_payloads(
     dm.delta = core::encode_delta(core::diff_images(base, target), s, wire, hdr);
     out.emplace_back(MsgKind::kSummaryDelta, encode(dm));
   }
-  out.emplace_back(MsgKind::kSummarySync, encode(SummarySyncMsg{1}));
   out.emplace_back(MsgKind::kLeaseRenew, encode(LeaseRenewMsg{{id}}));
   out.emplace_back(MsgKind::kSummaryDeltaAck,
                    encode(SummaryDeltaAckMsg{SummaryDeltaAckMsg::kApplied}));
-  out.emplace_back(MsgKind::kSummarySyncAck, encode(sm));
   out.emplace_back(MsgKind::kLeaseRenewAck, encode(LeaseRenewAckMsg{1}));
+  // Kinds 24/25, v4's repair pull and its reply, retired in v5: a v4 peer
+  // may still send them, and they must be as harmless as any unknown kind.
+  {
+    util::BufWriter requester;
+    requester.put_u32(1);
+    out.emplace_back(static_cast<MsgKind>(24), std::move(requester).take());
+  }
+  out.emplace_back(static_cast<MsgKind>(25), encode(sm));
   return out;
 }
 

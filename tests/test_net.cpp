@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
@@ -454,7 +456,10 @@ TEST(BrokerNode, ScrapeReportsTheCurrentSummary) {
 // Algorithm 2 gives a sink (no neighbor of equal or higher degree) no send
 // target, so a sink never announces and its own removals have nowhere to
 // go: it must not queue them. On fig 7 the sinks are 4, 7 and 10; leaf 12
-// sends to 10 every period, which drains its queue.
+// sends to 10 every period, which drains its queue. On CW-24, broker 17 is
+// no sink, but its one neighbor of equal degree (12) sends to it first
+// every period, so 17 never gets a target either: its queue is dropped at
+// its own iteration.
 TEST(BrokerNode, SinkNeverQueuesRemovals) {
   const Schema s = schema_v();
   Cluster cluster(s, overlay::fig7_tree());
@@ -476,6 +481,124 @@ TEST(BrokerNode, SinkNeverQueuesRemovals) {
     for (const BrokerId b : sinks) EXPECT_EQ(cluster.node(b).snapshot().pending_removals, 0u);
     EXPECT_EQ(cluster.node(leaf).snapshot().pending_removals, 0u);
   }
+
+  Cluster cw24(s, overlay::cable_wireless_24());
+  std::vector<std::unique_ptr<Client>> cw_clients;
+  for (BrokerId b = 0; b < cw24.size(); ++b) cw_clients.push_back(cw24.connect(b));
+  for (int period = 0; period < 3; ++period) {
+    SCOPED_TRACE("CW-24 period " + std::to_string(period));
+    for (auto& c : cw_clients) {
+      for (int i = 0; i < 5; ++i) c->unsubscribe(c->subscribe(sub));
+    }
+    ASSERT_TRUE(cw24.run_propagation_period().complete());
+    for (BrokerId b = 0; b < cw24.size(); ++b) {
+      EXPECT_EQ(cw24.node(b).snapshot().pending_removals, 0u) << "broker " << b;
+    }
+  }
+}
+
+// A peer that acked a base gets a delta, however small the summary: no
+// size test swaps it for the full image.
+TEST(BrokerNode, DeltaSentWheneverBaseIsAcked) {
+  const Schema s = schema_v();
+  Cluster cluster(s, overlay::line(2));
+  auto client = cluster.connect(0);
+  int next_symbol = 0;
+  const auto subscribe = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      client->subscribe(SubscriptionBuilder(s)
+                            .where("symbol", Op::kEq, "s" + std::to_string(next_symbol++))
+                            .build());
+    }
+  };
+  subscribe(2);
+  ASSERT_TRUE(cluster.run_propagation_period().complete());  // first contact: full
+  const auto& m = cluster.node(0).metrics();
+  [[maybe_unused]] const uint64_t deltas = m.counter_value("subsum_summary_delta_sends_total");
+  [[maybe_unused]] const uint64_t fulls = m.counter_value("subsum_summary_full_sends_total");
+  subscribe(10);
+  ASSERT_TRUE(cluster.run_propagation_period().complete());
+#ifndef SUBSUM_NO_TELEMETRY
+  EXPECT_EQ(m.counter_value("subsum_summary_delta_sends_total"), deltas + 1);
+  EXPECT_EQ(m.counter_value("subsum_summary_full_sends_total"), fulls);
+#endif
+  EXPECT_EQ(cluster.node(1).shadow_digests().at(0), cluster.node(0).held_digest());
+}
+
+// A restarted receiver holds no shadow, so it refuses the next delta from
+// each sender (kNeedFull). The sender answers with its full image in the
+// same trigger, carrying the delta's removals: the receiver drops a removed
+// id in the period that announces the removal, even though the summary it
+// recovered from its snapshot still held the id.
+TEST(BrokerNode, RefusedDeltaIsRepairedWithItsRemovals) {
+  const Schema s = schema_v();
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string dir = ::testing::TempDir() + "subsum_net/" + info->name();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  Cluster cluster(s, overlay::star(3), core::GeneralizePolicy::kSafe, {}, dir,
+                  [](BrokerConfig& cfg) { cfg.snapshot_wal_threshold = 1; });
+  std::vector<std::unique_ptr<Client>> leaves;
+  for (BrokerId b : {BrokerId{1}, BrokerId{2}}) {
+    leaves.push_back(cluster.connect(b));
+    for (int i = 0; i < 50; ++i) {
+      leaves.back()->subscribe(
+          SubscriptionBuilder(s)
+              .where("symbol", Op::kEq, "b" + std::to_string(b) + "-" + std::to_string(i))
+              .build());
+    }
+  }
+  const SubId x =
+      leaves[1]->subscribe(SubscriptionBuilder(s).where("symbol", Op::kEq, "X").build());
+  ASSERT_TRUE(cluster.run_propagation_period().complete());
+  // One subscription at the centre writes a snapshot, which holds the
+  // leaves' rows as well.
+  cluster.connect(0)->subscribe(SubscriptionBuilder(s).where("symbol", Op::kEq, "c").build());
+  cluster.kill(0);
+  cluster.restart(0);
+
+  const auto x_event = EventBuilder(s).set("symbol", "X").build();
+  const auto centre_holds_x = [&] {
+    const auto ids = core::match(cluster.node(0).held_summary(), x_event);
+    return std::find(ids.begin(), ids.end(), x) != ids.end();
+  };
+  ASSERT_TRUE(centre_holds_x());
+  leaves[1]->unsubscribe(x);
+  ASSERT_TRUE(cluster.run_propagation_period().complete());
+  EXPECT_FALSE(centre_holds_x());
+#ifndef SUBSUM_NO_TELEMETRY
+  EXPECT_EQ(cluster.node(0).metrics().counter_value("subsum_summary_sync_total"), 0u);
+  for (BrokerId b : {BrokerId{1}, BrokerId{2}}) {
+    EXPECT_EQ(cluster.node(b).metrics().counter_value("subsum_summary_sync_total"), 1u)
+        << "leaf " << b;
+  }
+#endif
+  for (BrokerId b : {BrokerId{1}, BrokerId{2}}) {
+    EXPECT_EQ(cluster.node(0).shadow_digests().at(b), cluster.node(b).held_digest());
+  }
+}
+
+// Every trigger, announcement and walk hop arrives on a fresh connection
+// with its own handler thread. The broker joins finished handlers as it
+// runs, not only at stop(): an unjoined thread keeps its stack mapped.
+TEST(BrokerNode, FinishedHandlerThreadsAreReaped) {
+  const auto maps_lines = [] {
+    std::ifstream maps("/proc/self/maps");
+    size_t n = 0;
+    for (std::string line; std::getline(maps, line);) ++n;
+    return n;
+  };
+  if (maps_lines() == 0) GTEST_SKIP() << "no /proc/self/maps";
+  const Schema s = schema_v();
+  Cluster cluster(s, overlay::line(2));
+  auto client = cluster.connect(0);
+  client->subscribe(SubscriptionBuilder(s).where("symbol", Op::kEq, "A").build());
+  ASSERT_TRUE(cluster.run_propagation_period().complete());
+  const size_t before = maps_lines();
+  for (int period = 0; period < 200; ++period) {
+    ASSERT_TRUE(cluster.run_propagation_period().complete());
+  }
+  EXPECT_LT(maps_lines(), before + 200);
 }
 
 TEST(Cluster, Fig7EndToEndOverTcp) {

@@ -18,6 +18,7 @@
 #include "overlay/topologies.h"
 #include "util/backoff.h"
 #include "workload/stock_schema.h"
+#include "workload/sub_gen.h"
 
 namespace subsum::net {
 namespace {
@@ -611,6 +612,37 @@ TEST(Governor, BrokerMemoryAccountingFeedsTheRung) {
   EXPECT_EQ(node.governor().rung(), 4);
   // The attribution itself is live: summary bytes are the big owner here.
   EXPECT_GT(acct.get(obs::MemComponent::kHeldSummary), 0u);
+}
+
+TEST(Governor, DefaultBudgetKeepsAFanoutHeavyOwnerHealthy) {
+  // A default-configured line(2): broker 0 owns 20k stock-schema
+  // subscriptions generated like fleetbench's fanout_heavy owner filler,
+  // broker 1 holds their summary. After a period and a publish (which
+  // builds the frozen indexes) each ledger carries the held summary, a
+  // delta base or shadow of it and an index, more than 8 MiB (rung 4 on
+  // a budget that size). The default budget must leave both brokers
+  // healthy and admitting publishes.
+  const Schema s = workload::stock_schema();
+  Cluster cluster(s, overlay::line(2));
+  auto owner = cluster.connect(0);
+  workload::SubGenParams sp;
+  sp.subsumption = 0.3;
+  workload::SubscriptionGenerator gen(s, sp, 12345);
+  for (int i = 0; i < 20000; ++i) owner->subscribe(gen.next());
+  cluster.run_propagation_period();
+  auto other = cluster.connect(1);
+  const auto event = EventBuilder(s).set("symbol", "probe").build();
+  owner->publish(event);
+  other->publish(event);
+  for (BrokerId b = 0; b < 2; ++b) {
+    auto& node = cluster.node(b);
+    node.refresh_memory_accounting();
+    EXPECT_GT(node.governor().external_bytes(), uint64_t{8} << 20) << "broker " << b;
+    EXPECT_GT(node.mem_account().get(obs::MemComponent::kIndexArenas), 0u) << "broker " << b;
+    EXPECT_EQ(node.governor().rung(), 0) << "broker " << b;
+  }
+  EXPECT_NO_THROW(owner->publish(event));
+  EXPECT_NO_THROW(other->publish(event));
 }
 
 }  // namespace

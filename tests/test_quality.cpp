@@ -191,7 +191,7 @@ TEST(QualityExports, ModelDriftGaugesAndRatio) {
   const core::WireConfig wire{model::SubIdCodec(24, 1000, schema.attr_count()), 4};
 
   obs::MetricsRegistry reg;
-  const double drift = core::export_model_drift(reg, summary, wire);
+  const double drift = core::export_model_drift(reg, summary, core::wire_size(summary, wire));
   EXPECT_GT(drift, 0.0);
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("subsum_summary_wire_bytes "), std::string::npos);
@@ -206,7 +206,7 @@ TEST(QualityExports, ModelDriftGaugesAndRatio) {
 
   // The labeled variant lands on distinct series (SimSystem: one registry,
   // many brokers).
-  core::export_model_drift(reg, summary, wire, {}, "3");
+  core::export_model_drift(reg, summary, core::wire_size(summary, wire), {}, "3");
   const std::string text2 = reg.prometheus_text();
   EXPECT_NE(text2.find("subsum_summary_model_drift_ratio{broker=\"3\"}"),
             std::string::npos);

@@ -41,7 +41,7 @@ constexpr char kUsage[] =
     "  [--conn-queue-frames N]    per-connection outbound frame cap\n"
     "  [--write-stall-ms N]       slow-consumer disconnect deadline (0 clamps to default)\n"
     "  [--conn-sndbuf-bytes N]    SO_SNDBUF clamp on accepted connections\n"
-    "  [--memory-budget-bytes N]  global budget driving the shed ladder\n"
+    "  [--memory-budget-bytes N]  global budget driving the shed ladder (default 128 MiB)\n"
     "  [--breaker-open-after N]   terminal failures opening a peer breaker\n"
     "  [--breaker-cooldown-ms N]  breaker cooldown before a half-open probe\n"
     "observability (obs/):\n"

@@ -22,7 +22,8 @@
 //     population and expiries, publish and walk-efficiency counters,
 //     summary precision counted at the owners, false-positive ids,
 //     wire-vs-model drift, and the soft-state announcement mix (delta
-//     sends, full sends, kSummarySync repair pulls);
+//     sends, full sends, and repairs: refused deltas the broker answered
+//     with its full image);
 //   * fleet aggregates: totals across live brokers, fleet precision
 //     (Σ exact / Σ candidates — NOT a mean of ratios), min/max drift, and
 //     the top-K brokers by false-positive count and by walk visit load.
