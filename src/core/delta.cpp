@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 
 namespace subsum::core {
@@ -195,12 +196,21 @@ BrokerSummary build_summary(const SummaryImage& img, const model::Schema& schema
   return out;
 }
 
-void merge_into_summary(const SummaryImage& img, BrokerSummary& out) {
+void merge_into_summary(const SummaryImage& img, BrokerSummary& out,
+                        std::optional<model::BrokerId> skip) {
+  std::vector<model::SubId> kept;
+  const auto keep = [&](const std::vector<model::SubId>& ids) {
+    if (!skip) return std::span<const model::SubId>(ids);
+    kept.clear();
+    std::copy_if(ids.begin(), ids.end(), std::back_inserter(kept),
+                 [&](const model::SubId& id) { return id.broker != *skip; });
+    return std::span<const model::SubId>(kept);
+  };
   for (model::AttrId a = 0; a < img.arith.size(); ++a) {
-    for (const auto& row : img.arith[a]) out.insert_arith(a, row.iv, row.ids);
+    for (const auto& row : img.arith[a]) out.insert_arith(a, row.iv, keep(row.ids));
   }
   for (model::AttrId a = 0; a < img.strings.size(); ++a) {
-    for (const auto& row : img.strings[a]) out.insert_string(a, row.pattern, row.ids);
+    for (const auto& row : img.strings[a]) out.insert_string(a, row.pattern, keep(row.ids));
   }
 }
 

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -64,8 +65,10 @@ BrokerSummary build_summary(const SummaryImage& img, const model::Schema& schema
                             GeneralizePolicy policy = GeneralizePolicy::kSafe,
                             AacsMode arith_mode = AacsMode::kExact);
 
-/// Folds an image's rows into an existing summary (held-state rebuild path).
-void merge_into_summary(const SummaryImage& img, BrokerSummary& out);
+/// Folds an image's rows into an existing summary (held-state rebuild
+/// path), leaving out the ids of broker `skip` when it is set.
+void merge_into_summary(const SummaryImage& img, BrokerSummary& out,
+                        std::optional<model::BrokerId> skip = std::nullopt);
 
 /// Order-independent content digest: sum mod 2^64 of per-row FNV-1a hashes
 /// over (attr, row key, id list). Equal images ⇒ equal digests; unequal

@@ -39,7 +39,6 @@ BrokerNode::BrokerNode(BrokerConfig cfg)
   }
   merged_brokers_ = {cfg_.id};
   communicated_.assign(cfg_.graph.size(), 0);
-  sink_ = !routing::send_target(cfg_.graph, cfg_.id, communicated_);
 
   // Pre-register every hot-path metric handle; after this, instrument code
   // only does relaxed atomic adds (obs/metrics.h).
@@ -516,7 +515,7 @@ void BrokerNode::record_span(const obs::Span& sp) {
     governor_->count_shed(Governor::Shed::kTrace);
     return;
   }
-  trace_ring_.append(sp);
+  flight_.record_span(sp);
 }
 
 void BrokerNode::on_subscribe(Socket& s, const std::shared_ptr<ClientConn>& conn,
@@ -601,10 +600,14 @@ bool BrokerNode::remove_subscription_locked(SubId id) {
   if (!home_.remove(id)) return false;
   held_.remove(id);
   subscribers_.erase(id.local);
-  // A sink never announces, so nothing would ever drain its queue.
-  if (!sink_) pending_removals_.push_back(id);
+  queue_removals_locked({&id, 1});
   if (store_) store_->log_unsubscribe(id);
   return true;
+}
+
+void BrokerNode::queue_removals_locked(std::span<const SubId> ids) {
+  pending_removals_.insert(pending_removals_.end(), ids.begin(), ids.end());
+  if (pending_removals_.size() > kMaxPendingRemovals) pending_removals_.clear();
 }
 
 void BrokerNode::commit_locked() {
@@ -832,9 +835,12 @@ void BrokerNode::begin_period() {
   // (removals/drops are deferred to here) or a shadow changed.
   // Quiet periods leave both flags clear, so a converged overlay is a
   // fixed point — the convergence assertion the chaos suite keys on.
+  // Own rows come from the home table alone: a peer's image can echo them
+  // back (on line(2) the two brokers announce to each other), and the echo
+  // of a removed subscription must not outlive its removal.
   if (held_dirty_ || shadows_changed_) {
     held_ = core::BrokerSummary::rebuild(cfg_.schema, cfg_.policy, home_.entries());
-    for (const auto& [b, sh] : shadows_) core::merge_into_summary(sh.image, held_);
+    for (const auto& [b, sh] : shadows_) core::merge_into_summary(sh.image, held_, cfg_.id);
     held_dirty_ = false;
     shadows_changed_ = false;
   }
@@ -956,8 +962,7 @@ void BrokerNode::on_trigger(Socket& s, ClientConn& conn, const Frame& f) {
       // survive for a later period. Ack the trigger so the controller's
       // round continues for live brokers.
       std::lock_guard lk(mu_);
-      pending_removals_.insert(pending_removals_.end(), send->removals.begin(),
-                               send->removals.end());
+      queue_removals_locked(send->removals);
     }
   }
   std::lock_guard wl(conn.write_mu);
@@ -1063,7 +1068,8 @@ void BrokerNode::refresh_memory_accounting() {
   memacct_.set(MemComponent::kSnapshotBuffers, snap_b);
   memacct_.set(MemComponent::kRedeliveryQueue, redeliver_b);
   memacct_.set(MemComponent::kOutboundQueues, governor_->usage());
-  memacct_.set(MemComponent::kTraceRing, trace_ring_.capacity() * sizeof(obs::Span));
+  memacct_.set(MemComponent::kTraceRing,
+               obs::FlightRecorder::kSpanCapacity * sizeof(obs::FrRecord));
   memacct_.set(MemComponent::kFlightRing,
                flight_.capacity() * sizeof(obs::FrRecord));
   // Exemplar retention: the stage histograms plus the match histogram each
@@ -1096,7 +1102,7 @@ void BrokerNode::on_stats(Socket& s, ClientConn& conn, const Frame&) {
       ->set(static_cast<int64_t>(governor_->peak_usage()));
   metrics_.gauge("subsum_governor_connections")
       ->set(static_cast<int64_t>(governor_->connections()));
-  gauge_trace_dropped_->set(static_cast<int64_t>(trace_ring_.dropped()));
+  gauge_trace_dropped_->set(static_cast<int64_t>(flight_.spans_dropped()));
   metrics_.gauge("subsum_uptime_seconds")
       ->set(std::chrono::duration_cast<std::chrono::seconds>(std::chrono::steady_clock::now() -
                                                              started_at_)
@@ -1150,7 +1156,7 @@ void BrokerNode::on_stats(Socket& s, ClientConn& conn, const Frame&) {
 void BrokerNode::on_trace(Socket& s, ClientConn& conn, const Frame& f) {
   const auto req = decode_trace_request(f.payload);
   TraceReplyMsg reply;
-  reply.spans = req.trace ? trace_ring_.for_trace(req.trace) : trace_ring_.snapshot();
+  reply.spans = flight_.spans(req.trace);
   if (req.max_spans && reply.spans.size() > req.max_spans) {
     reply.spans.erase(reply.spans.begin(), reply.spans.end() - req.max_spans);  // keep newest
   }

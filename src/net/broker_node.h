@@ -10,7 +10,8 @@
 // notifies.
 //
 // Algorithm 2 runs as externally clocked rounds: a controller (see
-// cluster.h) sends kTrigger(iteration) to every node; a node whose degree
+// cluster.h) sends kTrigger(1) to every node, which starts its period, and
+// kTrigger(i) for i >= 2 to the nodes of degree i; a node whose degree
 // equals the iteration performs its summary send synchronously
 // (connect -> kSummary/kSummaryDelta -> ack) before acknowledging the
 // trigger, so a round barrier at the controller yields exactly the paper's
@@ -177,6 +178,12 @@ struct BrokerConfig {
 
 class BrokerNode {
  public:
+  /// Own removals queued for the next announcement. Past this many (a dead
+  /// send target, period after period) the queue is dropped: the link's
+  /// acked base still holds the ids, so the next delta's row edits remove
+  /// them from the receiver's shadow and its period rebuild from held_.
+  static constexpr size_t kMaxPendingRemovals = 4096;
+
   /// Binds an ephemeral loopback port and starts serving.
   explicit BrokerNode(BrokerConfig cfg);
   ~BrokerNode();
@@ -231,11 +238,10 @@ class BrokerNode {
   /// (`subsum_summary_stale_dropped_total`, ...).
   [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-  /// Recent spans (publish walks, deliveries, retries); served by kTrace.
-  [[nodiscard]] const obs::TraceRing& trace_ring() const noexcept { return trace_ring_; }
-
-  /// Black-box state-transition ring (rung changes, breaker flips, sheds,
-  /// lease expiries, ...); dumped on stop(), fatal signal, and kDump.
+  /// The broker's journal: state transitions (rung changes, breaker flips,
+  /// sheds, lease expiries, ...) and, in a ring of their own, recent walk
+  /// spans (publishes, deliveries, retries), which kTrace serves. Dumped on
+  /// stop(), fatal signal, and kDump.
   [[nodiscard]] const obs::FlightRecorder& flight_recorder() const noexcept {
     return flight_;
   }
@@ -315,8 +321,8 @@ class BrokerNode {
   /// stalled or dead consumer is disconnected (slow-consumer policy).
   void writer_loop(std::shared_ptr<ClientConn> conn);
 
-  /// Trace-span sink, shed-gated by the degradation ladder (rung >= 2
-  /// drops spans instead of appending).
+  /// Records a span in the flight recorder's span ring, shed-gated by the
+  /// degradation ladder (rung >= 2 drops spans instead of recording).
   void record_span(const obs::Span& sp);
 
   // Frame handlers; `conn` is this connection's shared write handle.
@@ -382,7 +388,7 @@ class BrokerNode {
 
   /// Removes one of this broker's own subscriptions everywhere (home
   /// table, held summary, subscriber, lease), queues the removal for the
-  /// neighbors (unless this broker is a sink) and appends its WAL record. An id this broker does not own
+  /// neighbors and appends its WAL record. An id this broker does not own
   /// or does not hold is ignored: returns false, nothing changes. Caller
   /// holds mu_ and commits.
   bool remove_subscription_locked(model::SubId id);
@@ -408,6 +414,8 @@ class BrokerNode {
     uint64_t trace = 0;              // redeliver spans keep the causal chain
   };
   static constexpr size_t kMaxPendingDeliveries = 1024;  // oldest dropped beyond
+  /// Appends to pending_removals_, dropping the queue past the cap. Under mu_.
+  void queue_removals_locked(std::span<const model::SubId> ids);
   void queue_redelivery(PendingDelivery pd);
   void flush_pending_deliveries();
 
@@ -478,11 +486,8 @@ class BrokerNode {
   core::HomeTable home_;                         // own subs, leases, c2 allocator
   core::BrokerSummary held_;                     // own + everything received
   std::vector<overlay::BrokerId> merged_brokers_;
-  std::vector<model::SubId> pending_removals_;   // empty forever at a sink
+  std::vector<model::SubId> pending_removals_;   // at most kMaxPendingRemovals
   std::vector<char> communicated_;               // per neighbor id, this period
-  /// No neighbor of equal or higher degree: Algorithm 2 never gives this
-  /// broker a send target. Immutable after construction.
-  bool sink_ = false;
   std::map<overlay::BrokerId, PeerShadow> shadows_;  // guarded by mu_
   std::map<overlay::BrokerId, LastSent> last_sent_;  // guarded by mu_
   bool held_dirty_ = false;       // rows were removed: rebuild at the boundary
@@ -504,8 +509,7 @@ class BrokerNode {
   // handles pre-registered in the constructor so hot paths never take the
   // registration lock. All internally synchronized.
   obs::MetricsRegistry metrics_;
-  obs::TraceRing trace_ring_;
-  obs::FlightRecorder flight_;  // black-box incident ring (ctor-initialized)
+  obs::FlightRecorder flight_;  // transitions + spans journal (ctor-initialized)
   obs::Logger log_;             // structured JSONL (kOff unless configured)
   obs::StageSet stages_;        // per-stage latency histograms w/ exemplars
   obs::Gauge* gauge_trace_dropped_ = nullptr;  // subsum_trace_spans_dropped_total

@@ -103,7 +103,7 @@ class Client {
   /// Scrapes the broker's metrics registry: Prometheus text exposition.
   std::string stats_text();
 
-  /// Fetches spans from the broker's trace ring. trace 0 = all retained
+  /// Fetches spans from the broker's span ring. trace 0 = all retained
   /// spans; max_spans 0 = uncapped, otherwise the newest N.
   std::vector<obs::Span> fetch_trace(uint64_t trace = 0, uint32_t max_spans = 0);
 

@@ -36,6 +36,9 @@ PropagationReport clock_propagation_period(const overlay::Graph& graph,
   for (uint32_t it = 1; it <= max_degree; ++it) {
     for (overlay::BrokerId b = 0; b < ports.size(); ++b) {
       if (failed[b]) continue;  // already reported; skip for this period
+      // Iteration 1 starts every broker's period; a later one acts only
+      // at the brokers whose degree it is.
+      if (it > 1 && graph.degree(b) != it) continue;
       try {
         Socket s = connect_local(ports[b], rpc.connect_timeout);
         s.set_send_timeout(rpc.io_timeout);

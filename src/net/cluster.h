@@ -31,9 +31,11 @@ struct PropagationReport {
 
 /// The propagation controller's round over the brokers listening on
 /// `ports` (indexed by broker id): for i = 1..max_degree, triggers
-/// iteration i on every broker and waits for its ack (each broker's
-/// summary send is synchronous, so the barrier gives exactly the paper's
-/// iteration semantics). A broker that fails a trigger is skipped for the
+/// iteration i and waits for each ack (each broker's summary send is
+/// synchronous, so the barrier gives exactly the paper's iteration
+/// semantics). Iteration 1 goes to every broker, since it starts each
+/// one's period; iteration i >= 2 only to the brokers of degree i, the
+/// only ones it makes act. A broker that fails a trigger is skipped for the
 /// rest of the period and reported; the round continues for live brokers.
 /// Cluster and the subsum_broker CLI both clock their periods with it.
 PropagationReport clock_propagation_period(const overlay::Graph& graph,

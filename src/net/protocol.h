@@ -147,7 +147,7 @@ struct ProfileReplyMsg {
   std::string folded;       // collapsed stacks (kFetch only; else empty)
 };
 
-/// Admin RPC: fetch recent spans from a broker's trace ring.
+/// Admin RPC: fetch recent spans from a broker's span ring.
 struct TraceRequestMsg {
   uint64_t trace = 0;      // 0 = all retained spans
   uint32_t max_spans = 0;  // 0 = no cap; otherwise the newest N

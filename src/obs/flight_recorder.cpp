@@ -8,9 +8,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
-#include "obs/trace.h"
 #include "util/crc32c.h"
 
 namespace subsum::obs {
@@ -68,20 +69,6 @@ FrRecord decode_record(const std::byte* p) noexcept {
   return r;
 }
 
-/// Encodes the magic + CRC-framed header into a 48-byte buffer.
-void encode_header(const FlightRecorder& fr, uint64_t wall_anchor,
-                   uint64_t steady_anchor, uint8_t* out) noexcept {
-  std::memcpy(out, kMagic, sizeof kMagic);
-  uint8_t* payload = out + 12;  // after magic + crc
-  put_le32(payload, kVersion);
-  put_le32(payload + 4, fr.broker());
-  put_le64(payload + 8, wall_anchor);
-  put_le64(payload + 16, steady_anchor);
-  put_le64(payload + 24, fr.appended());
-  put_le32(out + 8, util::crc32c({reinterpret_cast<const std::byte*>(payload),
-                                  kHeaderPayload}));
-}
-
 bool write_all(int fd, const uint8_t* p, size_t n) noexcept {
   while (n > 0) {
     const ssize_t w = ::write(fd, p, n);
@@ -93,6 +80,12 @@ bool write_all(int fd, const uint8_t* p, size_t n) noexcept {
     n -= static_cast<size_t>(w);
   }
   return true;
+}
+
+constexpr size_t kWords = 6;  // per ring slot: seq + the packed record
+
+Phase phase_of(FrKind k) noexcept {
+  return static_cast<Phase>(static_cast<uint8_t>(k) - static_cast<uint8_t>(FrKind::kRecv));
 }
 
 std::string_view breaker_state_name(uint64_t s) noexcept {
@@ -120,15 +113,54 @@ std::string_view to_string(FrKind k) noexcept {
     case FrKind::kDump: return "dump";
     case FrKind::kFatalSignal: return "fatal-signal";
     case FrKind::kPeriodBegin: return "period-begin";
+    case FrKind::kRecv: case FrKind::kMatch: case FrKind::kForward:
+    case FrKind::kDeliver: case FrKind::kRetry: case FrKind::kRedeliver:
+      return to_string(phase_of(k));
   }
   return "?";
 }
 
+FlightRecorder::Ring::Ring(size_t cap)
+    : capacity(cap ? cap : 1),
+      words(static_cast<uint64_t*>(std::calloc(capacity * kWords, sizeof(uint64_t)))) {
+  if (!words) throw std::bad_alloc();
+}
+
+void FlightRecorder::Ring::append(const FrRecord& r) noexcept {
+  const uint64_t ticket = appended.fetch_add(1, std::memory_order_relaxed);
+  uint64_t* slot = &words[(ticket % capacity) * kWords];
+  const uint64_t w[kWords] = {2 * ticket + 1, r.t_us, r.trace, r.detail,
+                              uint64_t{r.broker} | (uint64_t{r.a} << 32),
+                              uint64_t{r.b} | (uint64_t{static_cast<uint8_t>(r.kind)} << 32)};
+  // Release stores keep every word ordered after the "writing" mark.
+  for (size_t k = 0; k < kWords; ++k) {
+    std::atomic_ref(slot[k]).store(w[k], std::memory_order_release);
+  }
+  std::atomic_ref(slot[0]).store(2 * ticket + 2, std::memory_order_release);  // done
+}
+
+template <class F>
+bool FlightRecorder::Ring::visit(F&& f) const {
+  const uint64_t end = appended.load(std::memory_order_acquire);
+  for (uint64_t i = end > capacity ? end - capacity : 0; i < end; ++i) {
+    uint64_t* slot = &words[(i % capacity) * kWords];
+    uint64_t w[kWords];
+    for (size_t k = 0; k < kWords; ++k) {
+      w[k] = std::atomic_ref(slot[k]).load(std::memory_order_acquire);
+    }
+    // Skip a slot that holds another ticket or was rewritten while read.
+    if (w[0] != 2 * i + 2) continue;
+    if (std::atomic_ref(slot[0]).load(std::memory_order_acquire) != w[0]) continue;
+    const FrRecord r{w[1], w[2], w[3], static_cast<uint32_t>(w[4]),
+                     static_cast<uint32_t>(w[4] >> 32), static_cast<uint32_t>(w[5]),
+                     static_cast<FrKind>(static_cast<uint8_t>(w[5] >> 32))};
+    if (!f(r)) return false;
+  }
+  return true;
+}
+
 FlightRecorder::FlightRecorder(uint32_t broker, size_t capacity, bool virtual_time)
-    : broker_(broker),
-      capacity_(capacity ? capacity : 1),
-      virtual_time_(virtual_time),
-      slots_(std::make_unique<Slot[]>(capacity ? capacity : 1)) {
+    : broker_(broker), virtual_time_(virtual_time), transitions_(capacity) {
   if (!virtual_time_) {
     wall_anchor_us_ = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -150,66 +182,77 @@ void FlightRecorder::record(FrKind k, uint32_t a, uint32_t b, uint64_t detail,
 void FlightRecorder::record_at(uint64_t t_us, FrKind k, uint32_t a, uint32_t b,
                                uint64_t detail, uint64_t trace) noexcept {
 #ifndef SUBSUM_NO_TELEMETRY
-  const uint64_t ticket = appended_.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = slots_[ticket % capacity_];
-  s.seq.store(2 * ticket + 1, std::memory_order_release);  // writing
-  s.w0.store(t_us, std::memory_order_relaxed);
-  s.w1.store(trace, std::memory_order_relaxed);
-  s.w2.store(detail, std::memory_order_relaxed);
-  s.w3.store(uint64_t{broker_} | (uint64_t{a} << 32), std::memory_order_relaxed);
-  s.w4.store(uint64_t{b} | (uint64_t{static_cast<uint8_t>(k)} << 32),
-             std::memory_order_relaxed);
-  s.seq.store(2 * ticket + 2, std::memory_order_release);  // done
+  transitions_.append({t_us, trace, detail, broker_, a, b, k});
 #else
   (void)t_us; (void)k; (void)a; (void)b; (void)detail; (void)trace;
 #endif
 }
 
-bool FlightRecorder::read_slot(uint64_t i, FrRecord& out) const noexcept {
-  const Slot& s = slots_[i % capacity_];
-  if (s.seq.load(std::memory_order_acquire) != 2 * i + 2) return false;
-  const uint64_t w0 = s.w0.load(std::memory_order_acquire);
-  const uint64_t w1 = s.w1.load(std::memory_order_acquire);
-  const uint64_t w2 = s.w2.load(std::memory_order_acquire);
-  const uint64_t w3 = s.w3.load(std::memory_order_acquire);
-  const uint64_t w4 = s.w4.load(std::memory_order_acquire);
-  if (s.seq.load(std::memory_order_acquire) != 2 * i + 2) return false;  // torn
-  out.t_us = w0;
-  out.trace = w1;
-  out.detail = w2;
-  out.broker = static_cast<uint32_t>(w3);
-  out.a = static_cast<uint32_t>(w3 >> 32);
-  out.b = static_cast<uint32_t>(w4);
-  out.kind = static_cast<FrKind>(static_cast<uint8_t>(w4 >> 32));
-  return true;
+void FlightRecorder::record_span(const Span& s) noexcept {
+#ifndef SUBSUM_NO_TELEMETRY
+  const auto kind = static_cast<uint8_t>(static_cast<uint8_t>(FrKind::kRecv) +
+                                         static_cast<uint8_t>(s.phase));
+  spans_.append({s.t_us, s.trace, s.bytes, s.broker, s.peer, 0, static_cast<FrKind>(kind)});
+#else
+  (void)s;
+#endif
 }
 
 std::vector<FrRecord> FlightRecorder::snapshot() const {
   std::vector<FrRecord> out;
-  const uint64_t end = appended_.load(std::memory_order_acquire);
-  const uint64_t begin = end > capacity_ ? end - capacity_ : 0;
-  out.reserve(static_cast<size_t>(end - begin));
-  for (uint64_t i = begin; i < end; ++i) {
-    FrRecord r;
-    if (read_slot(i, r)) out.push_back(r);
-  }
+  const auto keep = [&out](const FrRecord& r) {
+    out.push_back(r);
+    return true;
+  };
+  transitions_.visit(keep);
+  spans_.visit(keep);
   return out;
+}
+
+std::vector<Span> FlightRecorder::spans(uint64_t trace) const {
+  std::vector<Span> out;
+  spans_.visit([&](const FrRecord& r) {
+    if (trace == 0 || r.trace == trace) {
+      out.push_back({r.trace, r.broker, phase_of(r.kind), r.a, r.t_us, r.detail});
+    }
+    return true;
+  });
+  return out;
+}
+
+uint64_t FlightRecorder::spans_dropped() const noexcept {
+  const uint64_t n = spans_.appended.load(std::memory_order_relaxed);
+  return n > kSpanCapacity ? n - kSpanCapacity : 0;
+}
+
+template <class Sink>
+bool FlightRecorder::write_dump(Sink&& sink) const {
+  uint8_t hdr[8 + 4 + kHeaderPayload];
+  std::memcpy(hdr, kMagic, sizeof kMagic);
+  uint8_t* payload = hdr + 12;  // after magic + crc
+  put_le32(payload, kVersion);
+  put_le32(payload + 4, broker_);
+  put_le64(payload + 8, wall_anchor_us_);
+  put_le64(payload + 16, steady_anchor_us_);
+  put_le64(payload + 24, appended());
+  put_le32(hdr + 8, util::crc32c({reinterpret_cast<const std::byte*>(payload),
+                                  kHeaderPayload}));
+  const auto frame = [&sink](const FrRecord& r) {
+    uint8_t f[4 + kRecordPayload];
+    encode_record(r, f + 4);
+    put_le32(f, util::crc32c({reinterpret_cast<const std::byte*>(f + 4), kRecordPayload}));
+    return sink(f, sizeof f);
+  };
+  return sink(hdr, sizeof hdr) && transitions_.visit(frame) && spans_.visit(frame);
 }
 
 std::vector<std::byte> FlightRecorder::serialize() const {
   std::vector<std::byte> out;
-  uint8_t hdr[8 + 4 + kHeaderPayload];
-  encode_header(*this, wall_anchor_us_, steady_anchor_us_, hdr);
-  out.insert(out.end(), reinterpret_cast<const std::byte*>(hdr),
-             reinterpret_cast<const std::byte*>(hdr) + sizeof hdr);
-  for (const FrRecord& r : snapshot()) {
-    uint8_t frame[4 + kRecordPayload];
-    encode_record(r, frame + 4);
-    put_le32(frame, util::crc32c({reinterpret_cast<const std::byte*>(frame + 4),
-                                  kRecordPayload}));
-    out.insert(out.end(), reinterpret_cast<const std::byte*>(frame),
-               reinterpret_cast<const std::byte*>(frame) + sizeof frame);
-  }
+  write_dump([&out](const uint8_t* p, size_t n) {
+    out.insert(out.end(), reinterpret_cast<const std::byte*>(p),
+               reinterpret_cast<const std::byte*>(p) + n);
+    return true;
+  });
   return out;
 }
 
@@ -222,21 +265,7 @@ bool FlightRecorder::dump_to(const std::string& path) const noexcept {
 }
 
 int FlightRecorder::dump_to_fd(int fd) const noexcept {
-  uint8_t hdr[8 + 4 + kHeaderPayload];
-  encode_header(*this, wall_anchor_us_, steady_anchor_us_, hdr);
-  if (!write_all(fd, hdr, sizeof hdr)) return -1;
-  const uint64_t end = appended_.load(std::memory_order_acquire);
-  const uint64_t begin = end > capacity_ ? end - capacity_ : 0;
-  for (uint64_t i = begin; i < end; ++i) {
-    FrRecord r;
-    if (!read_slot(i, r)) continue;
-    uint8_t frame[4 + kRecordPayload];
-    encode_record(r, frame + 4);
-    put_le32(frame, util::crc32c({reinterpret_cast<const std::byte*>(frame + 4),
-                                  kRecordPayload}));
-    if (!write_all(fd, frame, sizeof frame)) return -1;
-  }
-  return 0;
+  return write_dump([fd](const uint8_t* p, size_t n) { return write_all(fd, p, n); }) ? 0 : -1;
 }
 
 std::optional<FrDump> decode_dump(std::span<const std::byte> bytes) {
@@ -343,6 +372,12 @@ std::string format_timeline(std::span<const FrDump> dumps) {
       case FrKind::kPeriodBegin:
         n = std::snprintf(buf, sizeof buf, " period=%llu",
                           static_cast<unsigned long long>(r.detail));
+        break;
+      case FrKind::kRecv: case FrKind::kMatch: case FrKind::kForward:
+      case FrKind::kDeliver: case FrKind::kRetry: case FrKind::kRedeliver:
+        n = r.a == Span::kNoPeer ? 0 : std::snprintf(buf, sizeof buf, " peer=%u", r.a);
+        n += std::snprintf(buf + n, sizeof buf - static_cast<size_t>(n), " bytes=%llu",
+                           static_cast<unsigned long long>(r.detail));
         break;
       case FrKind::kShutdown:
       case FrKind::kDump:

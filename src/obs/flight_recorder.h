@@ -1,13 +1,15 @@
-// Black-box flight recorder: a bounded, lock-light ring of structured
-// state-transition records — the events an operator needs to reconstruct
-// the minutes before an incident (governor rung changes, breaker flips,
-// drop-oldest sheds, slow-consumer disconnects, lease expiries, epoch
-// bumps, WAL truncate-heals) without having had logging enabled.
+// Black-box flight recorder, the broker's one journal: two bounded rings
+// of 40-byte records. One holds the state transitions an operator needs
+// to reconstruct the minutes before an incident (governor rung changes,
+// breaker flips, drop-oldest sheds, slow-consumer disconnects, lease
+// expiries, epoch bumps, WAL truncate-heals) without having had logging
+// enabled. The other holds walk spans (obs/trace.h), kSpanCapacity slots
+// of its own, so a burst of spans cannot evict a rung change.
 //
 // Design constraints, in order:
 //   1. Appends are wait-free (one relaxed fetch_add + a per-slot seqlock)
-//      so recording a rung change costs nanoseconds and can sit on the
-//      governor's accounting path.
+//      so recording costs nanoseconds and can sit on the governor's
+//      accounting path and on every walk step.
 //   2. The dump path must work from a fatal-signal handler: dump_to_fd()
 //      touches no heap, no locks, and no stdio — only write(2). The
 //      constructor primes the CRC tables so the handler never initializes
@@ -21,26 +23,29 @@
 //   header  u32 crc32c(payload) | payload:
 //             u32 version (=1) | u32 broker | u64 wall_anchor_us |
 //             u64 steady_anchor_us | u64 appended
-//   records u32 crc32c(payload) | payload: one 40-byte FrRecord each
+//   records u32 crc32c(payload) | payload: one 40-byte FrRecord each,
+//           the transitions, then the spans
 // wall/steady anchors pin the recorder's monotone timestamps to the wall
 // clock at construction, so `tools/subsum_blackbox` can merge dumps from
 // several brokers into one incident timeline. The simulator constructs
 // recorders in virtual time (anchors 0) and stamps records explicitly,
 // which keeps two identical runs byte-identical.
 //
-// Under -DSUBSUM_NO_TELEMETRY record()/record_at() compile to no-ops;
-// serialization still emits a valid (empty) dump so kDump stays
-// wire-compatible.
+// Under -DSUBSUM_NO_TELEMETRY recording compiles to a no-op; serialization
+// still emits a valid (empty) dump so kDump stays wire-compatible.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace subsum::obs {
 
@@ -57,9 +62,12 @@ enum class FrKind : uint8_t {
   kDump = 9,              // on-demand kDump RPC served
   kFatalSignal = 10,      // a = signal number
   kPeriodBegin = 11,      // detail = propagation period number
+  // Spans (record_span), one kind per obs::Phase in its order, named by
+  // to_string(Phase): a = peer, detail = bytes.
+  kRecv = 12, kMatch, kForward, kDeliver, kRetry, kRedeliver,
 };
 
-/// "start", "rung-change", ... (stable timeline names).
+/// "start", "rung-change", ..., "recv", "match", ... (stable timeline names).
 std::string_view to_string(FrKind k) noexcept;
 
 /// One state transition. POD, fixed 40-byte wire layout.
@@ -88,30 +96,47 @@ struct FrDump {
 
 class FlightRecorder {
  public:
-  /// `virtual_time` pins both clock anchors to 0 and makes record() stamp
-  /// t_us = 0 — the simulator stamps explicitly via record_at() so its
-  /// dumps are byte-identical across runs.
+  /// Spans the span ring retains before it overwrites its oldest.
+  static constexpr size_t kSpanCapacity = 4096;
+
+  /// `capacity` sizes the transition ring. `virtual_time` pins both clock
+  /// anchors to 0 and makes record() stamp t_us = 0 — the simulator stamps
+  /// explicitly via record_at() and record_span() so its dumps are
+  /// byte-identical across runs.
   explicit FlightRecorder(uint32_t broker, size_t capacity = 1024,
                           bool virtual_time = false);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
+  /// Records a state transition (spans go through record_span()).
   void record(FrKind k, uint32_t a = 0, uint32_t b = 0, uint64_t detail = 0,
               uint64_t trace = 0) noexcept;
   /// record() with an explicit timestamp (virtual time in the simulator).
   void record_at(uint64_t t_us, FrKind k, uint32_t a = 0, uint32_t b = 0,
                  uint64_t detail = 0, uint64_t trace = 0) noexcept;
+  /// Records `s` in the span ring under its own broker id and timestamp.
+  void record_span(const Span& s) noexcept;
 
+  /// Records ever appended to either ring.
   [[nodiscard]] uint64_t appended() const noexcept {
-    return appended_.load(std::memory_order_relaxed);
+    return transitions_.appended.load(std::memory_order_relaxed) +
+           spans_.appended.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] size_t capacity() const noexcept { return capacity_; }
+  /// The transition ring's capacity.
+  [[nodiscard]] size_t capacity() const noexcept { return transitions_.capacity; }
   [[nodiscard]] uint32_t broker() const noexcept { return broker_; }
 
-  /// Retained records, oldest first. Records a concurrent writer is
-  /// mid-overwrite on are skipped, never torn.
+  /// Retained records, the transitions then the spans, each oldest first.
+  /// Records a concurrent writer is mid-overwrite on are skipped, never torn.
   [[nodiscard]] std::vector<FrRecord> snapshot() const;
+
+  /// Retained spans, oldest first; only those of `trace` when nonzero.
+  [[nodiscard]] std::vector<Span> spans(uint64_t trace = 0) const;
+
+  /// Spans lost to overwrite-oldest, exported as
+  /// `subsum_trace_spans_dropped_total` so silent span loss is visible.
+  [[nodiscard]] uint64_t spans_dropped() const noexcept;
 
   /// The dump file bytes (header + CRC-framed records).
   [[nodiscard]] std::vector<std::byte> serialize() const;
@@ -124,26 +149,38 @@ class FlightRecorder {
   int dump_to_fd(int fd) const noexcept;
 
  private:
-  struct Slot {
-    std::atomic<uint64_t> seq{0};  // 2*ticket+1 while writing, 2*ticket+2 done
-    // The record, packed into atomic words: w0 = t_us, w1 = trace,
-    // w2 = detail, w3 = broker | a<<32, w4 = b | kind<<32. Atomics keep a
-    // snapshot racing a writer well-defined; the seq validation around the
-    // reads discards the torn value.
-    std::atomic<uint64_t> w0{0}, w1{0}, w2{0}, w3{0}, w4{0};
+  /// A fixed ring of seqlocked slots of six words, each only ever accessed
+  /// through std::atomic_ref: seq (2*ticket+1 while writing, 2*ticket+2
+  /// when done), t_us, trace, detail, broker | a<<32, b | kind<<32. The
+  /// words are calloc'd, so a page becomes resident only once records
+  /// land in it.
+  struct Ring {
+    explicit Ring(size_t cap);
+    void append(const FrRecord& r) noexcept;
+    /// Calls `f` on every intact retained record, oldest first, until it
+    /// returns false; a slot being rewritten is skipped, never torn.
+    template <class F>
+    bool visit(F&& f) const;
+
+    struct Free {
+      void operator()(uint64_t* p) const noexcept { std::free(p); }
+    };
+    size_t capacity;
+    std::unique_ptr<uint64_t[], Free> words;
+    std::atomic<uint64_t> appended{0};
   };
 
-  /// Seqlock-validated read of slot `i % capacity`; false when the slot is
-  /// being (re)written concurrently or holds a different ticket.
-  bool read_slot(uint64_t i, FrRecord& out) const noexcept;
+  /// Feeds the dump (header, then every record frame) to `sink(const
+  /// uint8_t*, size_t)` while it returns true.
+  template <class Sink>
+  bool write_dump(Sink&& sink) const;
 
   uint32_t broker_;
-  size_t capacity_;
   bool virtual_time_;
   uint64_t wall_anchor_us_ = 0;
   uint64_t steady_anchor_us_ = 0;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> appended_{0};
+  Ring transitions_;
+  Ring spans_{kSpanCapacity};
 };
 
 /// Parses a dump file; nullopt only when the magic/header is unreadable.

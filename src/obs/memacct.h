@@ -46,8 +46,8 @@ enum class MemComponent : uint8_t {
   kSnapshotBuffers,    // the last snapshot encoding
   kOutboundQueues,     // per-connection outbound queues (governor-accounted)
   kRedeliveryQueue,    // pending kDeliver payloads (governor-accounted)
-  kTraceRing,          // obs/trace.h span ring
-  kFlightRing,         // obs/flight_recorder.h slot ring
+  kTraceRing,          // obs/flight_recorder.h span ring
+  kFlightRing,         // obs/flight_recorder.h transition ring
   kExemplarSlots,      // per-bucket exemplar retention across histograms
   kProfilerRing,       // obs/profiler.h sample ring
 };

@@ -23,66 +23,6 @@ std::string_view to_string(Phase p) noexcept {
   return "?";
 }
 
-TraceRing::TraceRing(size_t capacity) : capacity_(capacity ? capacity : 1) {
-  ring_.reserve(capacity_);
-}
-
-void TraceRing::append(const Span& s) {
-#ifndef SUBSUM_NO_TELEMETRY
-  std::lock_guard lk(mu_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(s);
-  } else {
-    ring_[next_] = s;
-    next_ = (next_ + 1) % capacity_;
-    ++dropped_;
-  }
-  ++appended_;
-#else
-  (void)s;
-#endif
-}
-
-std::vector<Span> TraceRing::snapshot() const {
-  std::lock_guard lk(mu_);
-  std::vector<Span> out;
-  out.reserve(ring_.size());
-  // Once wrapped, next_ points at the oldest retained span.
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-std::vector<Span> TraceRing::for_trace(uint64_t trace) const {
-  std::vector<Span> out;
-  for (const Span& s : snapshot()) {
-    if (s.trace == trace) out.push_back(s);
-  }
-  return out;
-}
-
-uint64_t TraceRing::appended() const {
-  std::lock_guard lk(mu_);
-  return appended_;
-}
-
-uint64_t TraceRing::retained() const {
-  std::lock_guard lk(mu_);
-  return ring_.size();
-}
-
-uint64_t TraceRing::dropped() const {
-  std::lock_guard lk(mu_);
-  return dropped_;
-}
-
-void TraceRing::clear() {
-  std::lock_guard lk(mu_);
-  ring_.clear();
-  next_ = 0;
-}
-
 std::string to_jsonl(std::span<const Span> spans) {
   std::string out;
   out.reserve(spans.size() * 96);

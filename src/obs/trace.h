@@ -1,9 +1,11 @@
 // Causal event tracing: a 64-bit trace id minted at publish and carried in
 // the wire frame (PROTOCOL v3) and through the sim router, producing
-// per-event span logs. Each broker keeps a fixed-capacity ring of spans;
-// overwrite-oldest, so a live broker's memory cost is bounded and the
-// most recent traffic is always inspectable (kTrace admin RPC,
-// `tools/subsum_stats --trace`).
+// per-event span logs. Spans are journaled in the span ring of the
+// broker's flight recorder (obs/flight_recorder.h): wait-free,
+// overwrite-oldest, so a live broker's memory cost is bounded, the most
+// recent traffic is always inspectable (kTrace admin RPC,
+// `tools/subsum_stats --trace`), and every flight dump carries the walks
+// that were in flight.
 //
 // A span is one phase of one event's life at one broker:
 //   recv      the event arrived (kPublish or kEvent frame)
@@ -21,11 +23,9 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace subsum::obs {
 
@@ -52,44 +52,6 @@ struct Span {
   uint64_t bytes = 0;        // wire bytes of the frame (match spans: id count)
 
   bool operator==(const Span&) const = default;
-};
-
-/// Bounded, thread-safe span log: append overwrites the oldest once full.
-class TraceRing {
- public:
-  explicit TraceRing(size_t capacity = 4096);
-
-  void append(const Span& s);
-
-  /// All retained spans, oldest first.
-  [[nodiscard]] std::vector<Span> snapshot() const;
-
-  /// Retained spans of one trace, oldest first.
-  [[nodiscard]] std::vector<Span> for_trace(uint64_t trace) const;
-
-  /// Spans ever appended (including overwritten ones).
-  [[nodiscard]] uint64_t appended() const;
-
-  /// Spans the ring holds before it overwrites the oldest.
-  [[nodiscard]] size_t capacity() const noexcept { return capacity_; }
-
-  /// Spans currently retained (== min(appended since clear, capacity)).
-  [[nodiscard]] uint64_t retained() const;
-
-  /// Spans lost to overwrite-oldest since construction: appended() minus
-  /// everything still retained. Exported as
-  /// `subsum_trace_spans_dropped_total` so silent span loss is visible.
-  [[nodiscard]] uint64_t dropped() const;
-
-  void clear();
-
- private:
-  mutable std::mutex mu_;
-  std::vector<Span> ring_;
-  size_t capacity_;
-  size_t next_ = 0;       // ring_[next_] is the oldest once wrapped
-  uint64_t appended_ = 0;
-  uint64_t dropped_ = 0;  // overwritten spans (not cleared ones)
 };
 
 /// One span per line:

@@ -146,7 +146,7 @@ SimSystem::PublishOutcome SimSystem::publish(BrokerId origin, const model::Event
   const uint64_t trace_id =
       cfg_.trace ? obs::mint_trace_id(origin, publish_seq_++, /*salt=*/0) : 0;
   PublishOutcome out = publish_one(origin, event, acct_, nullptr, trace_id);
-  for (const obs::Span& s : out.route.spans) trace_ring_.append(s);
+  for (const obs::Span& s : out.route.spans) flight_.record_span(s);
   return out;
 }
 
@@ -180,12 +180,12 @@ std::vector<SimSystem::PublishOutcome> SimSystem::publish_batch(
   pool.wait();
   // Barrier: fold the per-shard ledgers in shard (= event) order. The sums
   // are commutative integer additions, so totals are bit-identical to the
-  // sequential loop's. Spans fold into the ring in event order too, so the
+  // sequential loop's. Spans are recorded in event order too, so the span
   // ring's contents match the sequential publish() loop exactly.
   for (const Accounting& d : deltas) acct_.merge(d);
   if (cfg_.trace) {
     for (const PublishOutcome& o : out) {
-      for (const obs::Span& s : o.route.spans) trace_ring_.append(s);
+      for (const obs::Span& s : o.route.spans) flight_.record_span(s);
     }
   }
   return out;

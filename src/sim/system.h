@@ -27,7 +27,6 @@
 #include "model/subscription.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "overlay/graph.h"
 #include "routing/event_router.h"
 #include "routing/propagation.h"
@@ -59,11 +58,11 @@ struct SystemConfig {
   /// the broker. Unsubscribing a coverer promotes its covered
   /// subscriptions into the summaries.
   bool combine_subsumption = false;
-  /// Record every publish walk as spans in the system's trace ring. Trace
-  /// ids are minted deterministically (obs::mint_trace_id, salt 0) and
-  /// timestamps are virtual, so two identical runs produce byte-identical
-  /// span logs — including through publish_batch, whose spans are folded
-  /// into the ring in event order at the barrier.
+  /// Record every publish walk as spans in the system's flight recorder.
+  /// Trace ids are minted deterministically (obs::mint_trace_id, salt 0)
+  /// and timestamps are virtual, so two identical runs produce
+  /// byte-identical span logs — including through publish_batch, whose
+  /// spans are recorded in event order at the barrier.
   bool trace = false;
 };
 
@@ -140,12 +139,11 @@ class SimSystem {
 
   [[nodiscard]] const core::WireConfig& wire() const noexcept { return wire_; }
 
-  /// Span log of recent publishes (empty unless SystemConfig::trace).
-  [[nodiscard]] const obs::TraceRing& trace_ring() const noexcept { return trace_ring_; }
-
   /// Virtual-time flight recorder: period boundaries and lease expiries,
-  /// stamped with deterministic virtual timestamps (period * 1s), so two
-  /// identical runs produce byte-identical serialize() output — the sim's
+  /// stamped with deterministic virtual timestamps (period * 1s), and the
+  /// spans of recent publishes (none unless SystemConfig::trace), each
+  /// under its own broker id and walk-step time. Two identical runs
+  /// produce byte-identical serialize() output — the sim's
   /// reproducibility witness for the black-box format.
   [[nodiscard]] const obs::FlightRecorder& flight_recorder() const noexcept {
     return flight_;
@@ -185,8 +183,7 @@ class SimSystem {
   /// combine_subsumption bookkeeping: propagated root -> covered local subs.
   std::map<model::SubId, std::vector<model::SubId>> covered_by_;
   std::unique_ptr<util::ThreadPool> publish_pool_;  // lazily built default pool
-  obs::TraceRing trace_ring_;   // publish spans, event order (cfg_.trace)
-  obs::FlightRecorder flight_{0, 1024, /*virtual_time=*/true};
+  obs::FlightRecorder flight_{0, 1024, /*virtual_time=*/true};  // + spans (cfg_.trace)
   uint64_t publish_seq_ = 0;    // deterministic trace-id stream
   uint64_t period_seq_ = 0;     // virtual clock for flight_ stamps
   obs::MetricsRegistry metrics_;        // declared before the handle holders below

@@ -6,6 +6,9 @@
 // changes and breaker flips that preceded death — with zero logging
 // configured anywhere.
 //
+// The dump also carries the walk spans journaled beside the transitions,
+// so it names the deliveries of the publishes the victim was serving.
+//
 // A second test pins the exemplar workflow: stage-latency histograms carry
 // exemplar trace ids that resolve, via the trace RPC, to the publish's
 // span chain.
@@ -98,13 +101,14 @@ TEST(BlackboxChaos, KilledBrokerLeavesTimelineNamingRungChangesAndBreakerFlips) 
   ASSERT_TRUE(inj->stalled());
   auto publisher = cluster.connect(1, tight_client());
   const std::string blob(16u << 10, 'b');
+  std::vector<uint64_t> storm_traces;
   for (int i = 0; i < 40; ++i) {
     try {
-      publisher->publish(EventBuilder(s)
-                             .set("symbol", "storm")
-                             .set("exchange", blob)
-                             .set("volume", int64_t{i})
-                             .build());
+      storm_traces.push_back(publisher->publish(EventBuilder(s)
+                                                    .set("symbol", "storm")
+                                                    .set("exchange", blob)
+                                                    .set("volume", int64_t{i})
+                                                    .build()));
     } catch (const std::exception&) {
       // Admission rejections under deep overload are the governor working
       // as designed; the storm only needs to fill the victim's queue.
@@ -139,6 +143,15 @@ TEST(BlackboxChaos, KilledBrokerLeavesTimelineNamingRungChangesAndBreakerFlips) 
   ASSERT_TRUE(victim_dump.has_value()) << "black box unreadable";
   EXPECT_EQ(victim_dump->broker, victim);
   EXPECT_FALSE(victim_dump->records.empty());
+  // The same dump journals the walks that reached the victim: deliver
+  // spans of the storm's own publishes.
+  EXPECT_TRUE(std::any_of(victim_dump->records.begin(), victim_dump->records.end(),
+                          [&](const obs::FrRecord& r) {
+                            return r.kind == obs::FrKind::kDeliver &&
+                                   std::count(storm_traces.begin(), storm_traces.end(),
+                                              r.trace) > 0;
+                          }))
+      << "no deliver span of a storm publish in the victim's dump";
 
   // Survivors' dumps: broker 0 over the wire (the kDump RPC), the rest
   // in-process. The RPC's own service shows up as a "dump" record.

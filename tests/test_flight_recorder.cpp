@@ -1,9 +1,12 @@
-// obs::FlightRecorder: the seqlock ring, the CRC-framed dump format and its
-// torn-tail tolerance, the merged timeline formatter, the structured logger,
-// and the stage-latency registration — plus the NO_TELEMETRY contract that
-// recording compiles to a no-op while dumps stay wire-valid.
+// obs::FlightRecorder: the seqlock rings (transitions and spans), the
+// CRC-framed dump format and its torn-tail tolerance, the merged timeline
+// formatter, the structured logger, and the stage-latency registration —
+// plus the NO_TELEMETRY contract that recording compiles to a no-op while
+// dumps stay wire-valid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +17,7 @@
 #include "obs/latency.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace subsum::obs {
 namespace {
@@ -89,6 +93,187 @@ TEST(FlightRecorder, ConcurrentAppendsNeverTear) {
   EXPECT_EQ(fr.appended(), 8000u);
   EXPECT_EQ(fr.snapshot().size(), 64u);
 #endif
+}
+
+// --- span ring --------------------------------------------------------------
+
+Span make_span(uint64_t trace, uint64_t t) {
+  Span s;
+  s.trace = trace;
+  s.broker = 1;
+  s.phase = Phase::kRecv;
+  s.t_us = t;
+  return s;
+}
+
+TEST(FlightRecorder, SpansAppendAndSnapshotInOrder) {
+#ifdef SUBSUM_NO_TELEMETRY
+  GTEST_SKIP() << "spans compile out under SUBSUM_NO_TELEMETRY";
+#endif
+  FlightRecorder fr(0, 8, /*virtual_time=*/true);
+  for (uint64_t i = 0; i < 3; ++i) fr.record_span(make_span(7, i));
+  const auto spans = fr.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].t_us, 0u);
+  EXPECT_EQ(spans[2].t_us, 2u);
+  EXPECT_EQ(spans[0], make_span(7, 0));  // a span round-trips one for one
+  EXPECT_EQ(fr.appended(), 3u);
+  // In the record stream a span is one record of its phase's kind, under
+  // the span's own broker.
+  const auto recs = fr.snapshot();
+  ASSERT_EQ(recs.size(), 3u);
+  EXPECT_EQ(recs[0].kind, FrKind::kRecv);
+  EXPECT_EQ(recs[0].broker, 1u);
+  EXPECT_EQ(recs[0].a, Span::kNoPeer);
+}
+
+TEST(FlightRecorder, SpansOverwriteOldestAtSpanCapacity) {
+#ifdef SUBSUM_NO_TELEMETRY
+  GTEST_SKIP() << "spans compile out under SUBSUM_NO_TELEMETRY";
+#endif
+  FlightRecorder fr(0, 8, /*virtual_time=*/true);
+  constexpr uint64_t kCap = FlightRecorder::kSpanCapacity;
+  for (uint64_t i = 0; i < kCap + 6; ++i) fr.record_span(make_span(7, i));
+  const auto spans = fr.spans();
+  ASSERT_EQ(spans.size(), kCap);
+  // The newest kCap, oldest first.
+  EXPECT_EQ(spans.front().t_us, 6u);
+  EXPECT_EQ(spans.back().t_us, kCap + 5);
+  EXPECT_EQ(fr.appended(), kCap + 6);
+}
+
+TEST(FlightRecorder, SpansCountSilentOverwritesAsDrops) {
+#ifdef SUBSUM_NO_TELEMETRY
+  GTEST_SKIP() << "spans compile out under SUBSUM_NO_TELEMETRY";
+#endif
+  FlightRecorder fr(0, 4, /*virtual_time=*/true);
+  constexpr uint64_t kCap = FlightRecorder::kSpanCapacity;
+  for (uint64_t i = 0; i < kCap; ++i) fr.record_span(make_span(7, i));
+  EXPECT_EQ(fr.spans_dropped(), 0u);  // still at capacity
+  EXPECT_EQ(fr.spans().size(), kCap);
+  for (uint64_t i = 0; i < 6; ++i) fr.record_span(make_span(7, kCap + i));
+  EXPECT_EQ(fr.spans_dropped(), 6u);
+  EXPECT_EQ(fr.spans().size(), kCap);
+  // Transitions have a ring of their own: overwriting them drops no span.
+  for (uint64_t i = 0; i < 10; ++i) fr.record_at(i, FrKind::kPeriodBegin, 0, 0, i);
+  EXPECT_EQ(fr.spans_dropped(), 6u);
+}
+
+TEST(FlightRecorder, SpansFilterByTrace) {
+#ifdef SUBSUM_NO_TELEMETRY
+  GTEST_SKIP() << "spans compile out under SUBSUM_NO_TELEMETRY";
+#endif
+  FlightRecorder fr(0, 8, /*virtual_time=*/true);
+  fr.record_span(make_span(1, 0));
+  fr.record_span(make_span(2, 1));
+  fr.record_span(make_span(1, 2));
+  const auto only1 = fr.spans(1);
+  ASSERT_EQ(only1.size(), 2u);
+  EXPECT_EQ(only1[0].t_us, 0u);
+  EXPECT_EQ(only1[1].t_us, 2u);
+  EXPECT_TRUE(fr.spans(99).empty());
+  EXPECT_EQ(fr.spans().size(), 3u);  // trace 0 = every retained span
+}
+
+TEST(FlightRecorder, SpansNeverEvictTransitions) {
+#ifdef SUBSUM_NO_TELEMETRY
+  GTEST_SKIP() << "records compile out under SUBSUM_NO_TELEMETRY";
+#endif
+  FlightRecorder fr(4, 16, /*virtual_time=*/true);
+  fr.record_at(1, FrKind::kRungChange, 0, 2, 1000);
+  for (uint64_t i = 0; i < 5 * FlightRecorder::kSpanCapacity; ++i) {
+    fr.record_span(make_span(9, 2 + i));
+  }
+  const auto has_rung = [](const std::vector<FrRecord>& recs) {
+    return std::any_of(recs.begin(), recs.end(), [](const FrRecord& r) {
+      return r.kind == FrKind::kRungChange && r.b == 2 && r.detail == 1000;
+    });
+  };
+  EXPECT_TRUE(has_rung(fr.snapshot()));
+  const auto dump = decode_dump(fr.serialize());
+  ASSERT_TRUE(dump.has_value());
+  EXPECT_FALSE(dump->truncated);
+  EXPECT_TRUE(has_rung(dump->records));
+  EXPECT_EQ(dump->records.size(), 1 + FlightRecorder::kSpanCapacity);
+  EXPECT_EQ(dump->appended, 1 + 5 * FlightRecorder::kSpanCapacity);
+}
+
+TEST(FlightRecorder, SpanKindsAreNamedByPhase) {
+#ifdef SUBSUM_NO_TELEMETRY
+  GTEST_SKIP() << "spans compile out under SUBSUM_NO_TELEMETRY";
+#endif
+  FlightRecorder fr(0, 8, /*virtual_time=*/true);
+  const Phase phases[] = {Phase::kRecv,    Phase::kMatch, Phase::kForward,
+                          Phase::kDeliver, Phase::kRetry, Phase::kRedeliver};
+  for (const Phase p : phases) {
+    Span s = make_span(5, 0);
+    s.phase = p;
+    fr.record_span(s);
+  }
+  const auto recs = fr.snapshot();
+  ASSERT_EQ(recs.size(), std::size(phases));
+  for (size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(to_string(recs[i].kind), to_string(phases[i]));
+  }
+  EXPECT_EQ(recs.back().kind, FrKind::kRedeliver);
+}
+
+TEST(FlightRecorder, ConcurrentSpansServeTraceReadsWithoutTearing) {
+  // Writers record spans while a reader serves spans(trace), as kTrace
+  // does: every span read back is whole, and only of the asked trace.
+  FlightRecorder fr(0, 8);
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      for (const Span& s : fr.spans(2)) {
+        EXPECT_EQ(s.trace, 2u);
+        EXPECT_EQ(s.peer, s.broker);
+        EXPECT_EQ(s.bytes, uint64_t{s.broker} * 3);
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (uint64_t t = 1; t <= 3; ++t) {
+    writers.emplace_back([&fr, t] {
+      for (uint32_t i = 0; i < 3000; ++i) {
+        Span s;
+        s.trace = t;
+        s.broker = i;
+        s.peer = i;
+        s.phase = Phase::kForward;
+        s.t_us = now_us();
+        s.bytes = uint64_t{i} * 3;
+        fr.record_span(s);
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  done = true;
+  reader.join();
+#ifndef SUBSUM_NO_TELEMETRY
+  EXPECT_EQ(fr.appended(), 9000u);
+  EXPECT_EQ(fr.spans_dropped(), 9000u - FlightRecorder::kSpanCapacity);
+  EXPECT_EQ(fr.spans(2).size() + fr.spans(1).size() + fr.spans(3).size(),
+            FlightRecorder::kSpanCapacity);
+#endif
+}
+
+TEST(FlightRecorder, TimelineNamesSpansWithPeerAndBytes) {
+#ifdef SUBSUM_NO_TELEMETRY
+  GTEST_SKIP() << "records compile out under SUBSUM_NO_TELEMETRY";
+#endif
+  FlightRecorder fr(3, 8, /*virtual_time=*/true);
+  Span fwd = make_span(0xabc, 5);
+  fwd.phase = Phase::kForward;
+  fwd.peer = 4;
+  fwd.bytes = 212;
+  fr.record_span(fwd);
+  fr.record_span(make_span(0xabc, 6));
+  const std::string tl = format_timeline(std::vector<FrDump>{*decode_dump(fr.serialize())});
+  EXPECT_NE(tl.find("broker 1 forward peer=4 bytes=212 trace=0000000000000abc"),
+            std::string::npos)
+      << tl;
+  EXPECT_NE(tl.find("broker 1 recv bytes=0 trace=0000000000000abc"), std::string::npos) << tl;
 }
 
 // --- dump format ------------------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include "core/matcher.h"
 #include "net/cluster.h"
+#include "net/fault_injector.h"
 #include "net/framing.h"
 #include "net/protocol.h"
 #include "net/socket.h"
@@ -455,11 +456,11 @@ TEST(BrokerNode, ScrapeReportsTheCurrentSummary) {
 
 // Algorithm 2 gives a sink (no neighbor of equal or higher degree) no send
 // target, so a sink never announces and its own removals have nowhere to
-// go: it must not queue them. On fig 7 the sinks are 4, 7 and 10; leaf 12
-// sends to 10 every period, which drains its queue. On CW-24, broker 17 is
-// no sink, but its one neighbor of equal degree (12) sends to it first
-// every period, so 17 never gets a target either: its queue is dropped at
-// its own iteration.
+// go: its own iteration drops its queue. On fig 7 the sinks are 4, 7 and
+// 10; leaf 12 sends to 10 every period, which drains its queue. On CW-24,
+// broker 17 is no sink, but its one neighbor of equal degree (12) sends to
+// it first every period, so 17 never gets a target either: its queue is
+// dropped at its own iteration.
 TEST(BrokerNode, SinkNeverQueuesRemovals) {
   const Schema s = schema_v();
   Cluster cluster(s, overlay::fig7_tree());
@@ -475,7 +476,6 @@ TEST(BrokerNode, SinkNeverQueuesRemovals) {
     for (auto& [b, c] : clients) {
       for (int i = 0; i < 5; ++i) c->unsubscribe(c->subscribe(sub));
     }
-    for (const BrokerId b : sinks) EXPECT_EQ(cluster.node(b).snapshot().pending_removals, 0u);
     EXPECT_EQ(cluster.node(leaf).snapshot().pending_removals, 5u);
     ASSERT_TRUE(cluster.run_propagation_period().complete());
     for (const BrokerId b : sinks) EXPECT_EQ(cluster.node(b).snapshot().pending_removals, 0u);
@@ -494,6 +494,51 @@ TEST(BrokerNode, SinkNeverQueuesRemovals) {
     for (BrokerId b = 0; b < cw24.size(); ++b) {
       EXPECT_EQ(cw24.node(b).snapshot().pending_removals, 0u) << "broker " << b;
     }
+  }
+}
+
+// A dead send target no longer grows the removal queue with every
+// unsubscribe: past the cap the queue is dropped. No removal is lost for
+// it: the link's acked base still holds the ids, so once the link heals
+// the next delta's row edits take them out of the receiver's shadow, and
+// its period rebuild out of its held summary. On line(2) broker 1 also
+// announces to broker 0 and so echoes broker 0's own ids back; broker 0's
+// rebuild must not take them from that echo.
+TEST(BrokerNode, RemovalQueueIsBoundedBehindADeadTarget) {
+  const Schema s = schema_v();
+  RpcPolicy rpc;
+  rpc.connect_timeout = 250ms;
+  rpc.io_timeout = 500ms;
+  rpc.backoff = {5ms, 20ms, 1};
+  Cluster cluster(s, overlay::line(2), core::GeneralizePolicy::kSafe, rpc);
+  auto client = cluster.connect(0);
+  const auto sub = SubscriptionBuilder(s).where("symbol", Op::kEq, "gone").build();
+  const size_t n = BrokerNode::kMaxPendingRemovals + 8;
+  std::vector<SubId> ids;
+  for (size_t i = 0; i < n; ++i) ids.push_back(client->subscribe(sub));
+  ASSERT_TRUE(cluster.run_propagation_period().complete());
+  const auto event = EventBuilder(s).set("symbol", "gone").build();
+  ASSERT_EQ(core::match_reference(cluster.node(1).held_summary(), event).size(), n);
+
+  // Broker 0's only send target goes dark; every subscription leaves in
+  // one period.
+  FaultInjector inj(cluster.port_of(1));
+  inj.set_mode(FaultInjector::Mode::kBlackhole);
+  cluster.node(0).set_peer_ports({cluster.port_of(0), inj.port()});
+  for (const SubId& id : ids) client->unsubscribe(id);
+  for (int period = 0; period < 2; ++period) {
+    ASSERT_TRUE(cluster.run_propagation_period().complete());
+    EXPECT_LE(cluster.node(0).snapshot().pending_removals, BrokerNode::kMaxPendingRemovals);
+  }
+
+  cluster.node(0).set_peer_ports({cluster.port_of(0), cluster.port_of(1)});
+  for (int period = 0; period < 2; ++period) {
+    ASSERT_TRUE(cluster.run_propagation_period().complete());
+  }
+  EXPECT_EQ(cluster.node(1).shadow_digests().at(0), cluster.node(0).held_digest());
+  const auto hit = core::match_reference(cluster.node(1).held_summary(), event);
+  for (const SubId& id : ids) {
+    ASSERT_EQ(std::count(hit.begin(), hit.end(), id), 0) << id.to_string();
   }
 }
 
@@ -599,6 +644,47 @@ TEST(BrokerNode, FinishedHandlerThreadsAreReaped) {
     ASSERT_TRUE(cluster.run_propagation_period().complete());
   }
   EXPECT_LT(maps_lines(), before + 200);
+}
+
+// The period clock sends iteration 1 to every broker, which starts its
+// period, and iteration i >= 2 only to the brokers of degree i, the only
+// ones it makes act. Fake brokers count the kTrigger frames of one period.
+TEST(Cluster, PeriodClockTriggersOnlyBrokersThatAct) {
+  for (const overlay::Graph& g : {overlay::fig7_tree(), overlay::cable_wireless_24()}) {
+    SCOPED_TRACE(std::to_string(g.size()) + " brokers");
+    struct FakeBroker {
+      Listener listener{0};
+      std::atomic<int> triggers{0};
+      std::thread thread;
+    };
+    std::vector<std::unique_ptr<FakeBroker>> fakes;
+    std::vector<uint16_t> ports;
+    for (BrokerId b = 0; b < g.size(); ++b) {
+      auto& f = *fakes.emplace_back(std::make_unique<FakeBroker>());
+      ports.push_back(f.listener.port());
+      f.thread = std::thread([&f] {
+        while (auto conn = f.listener.accept()) {
+          try {
+            while (const auto frame = recv_frame(*conn)) {
+              if (frame->kind != MsgKind::kTrigger) break;
+              ++f.triggers;
+              send_frame(*conn, MsgKind::kTriggerAck, {});
+            }
+          } catch (const NetError&) {
+            // The controller hung up mid-frame; serve its next connection.
+          }
+        }
+      });
+    }
+    EXPECT_TRUE(clock_propagation_period(g, ports, RpcPolicy{}).complete());
+    for (auto& f : fakes) {
+      f->listener.close();
+      f->thread.join();
+    }
+    for (BrokerId b = 0; b < g.size(); ++b) {
+      EXPECT_EQ(fakes[b]->triggers.load(), g.degree(b) == 1 ? 1 : 2) << "broker " << b;
+    }
+  }
 }
 
 TEST(Cluster, Fig7EndToEndOverTcp) {

@@ -399,70 +399,6 @@ TEST(Promtext, MalformedLinesAreSkippedNotFatal) {
   }
 }
 
-// --- TraceRing --------------------------------------------------------------
-
-Span make_span(uint64_t trace, uint64_t t) {
-  Span s;
-  s.trace = trace;
-  s.broker = 1;
-  s.phase = Phase::kRecv;
-  s.t_us = t;
-  return s;
-}
-
-TEST(TraceRing, AppendAndSnapshotInOrder) {
-  SKIP_WITHOUT_TELEMETRY();
-  TraceRing ring(8);
-  for (uint64_t i = 0; i < 3; ++i) ring.append(make_span(7, i));
-  const auto spans = ring.snapshot();
-  ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[0].t_us, 0u);
-  EXPECT_EQ(spans[2].t_us, 2u);
-  EXPECT_EQ(ring.appended(), 3u);
-}
-
-TEST(TraceRing, OverwritesOldestWhenFull) {
-  SKIP_WITHOUT_TELEMETRY();
-  TraceRing ring(4);
-  for (uint64_t i = 0; i < 10; ++i) ring.append(make_span(7, i));
-  const auto spans = ring.snapshot();
-  ASSERT_EQ(spans.size(), 4u);
-  // The newest 4, oldest first.
-  EXPECT_EQ(spans[0].t_us, 6u);
-  EXPECT_EQ(spans[3].t_us, 9u);
-  EXPECT_EQ(ring.appended(), 10u);
-}
-
-TEST(TraceRing, CountsSilentOverwritesAsDrops) {
-  SKIP_WITHOUT_TELEMETRY();
-  TraceRing ring(4);
-  for (uint64_t i = 0; i < 3; ++i) ring.append(make_span(7, i));
-  EXPECT_EQ(ring.dropped(), 0u);  // still under capacity
-  EXPECT_EQ(ring.retained(), 3u);
-  for (uint64_t i = 3; i < 10; ++i) ring.append(make_span(7, i));
-  EXPECT_EQ(ring.dropped(), 6u);  // 10 appended, 4 retained
-  EXPECT_EQ(ring.retained(), 4u);
-  ring.clear();
-  // clear() is an operator action, not data loss: drops are cumulative.
-  EXPECT_EQ(ring.dropped(), 6u);
-  EXPECT_EQ(ring.retained(), 0u);
-}
-
-TEST(TraceRing, ForTraceFiltersAndClearEmpties) {
-  SKIP_WITHOUT_TELEMETRY();
-  TraceRing ring(8);
-  ring.append(make_span(1, 0));
-  ring.append(make_span(2, 1));
-  ring.append(make_span(1, 2));
-  const auto only1 = ring.for_trace(1);
-  ASSERT_EQ(only1.size(), 2u);
-  EXPECT_EQ(only1[0].t_us, 0u);
-  EXPECT_EQ(only1[1].t_us, 2u);
-  EXPECT_TRUE(ring.for_trace(99).empty());
-  ring.clear();
-  EXPECT_TRUE(ring.snapshot().empty());
-}
-
 // --- JSONL ------------------------------------------------------------------
 
 TEST(Jsonl, FixedFieldOrderAndHexTrace) {

@@ -52,7 +52,7 @@ std::string run_scenario() {
   sys.run_propagation_period();
   sys.publish(0, EventBuilder(sys.schema()).set("symbol", "OTE").build());
   sys.publish(0, EventBuilder(sys.schema()).set("symbol", "MISS").build());
-  const auto spans = sys.trace_ring().snapshot();
+  const auto spans = sys.flight_recorder().spans();
   return obs::to_jsonl(spans);
 }
 
@@ -75,7 +75,7 @@ TEST(SimTrace, WalkPhasesAppearInCausalOrder) {
       sys.publish(0, EventBuilder(sys.schema()).set("symbol", "OTE").build());
   ASSERT_EQ(out.delivered.size(), 1u);
 
-  const auto spans = sys.trace_ring().snapshot();
+  const auto spans = sys.flight_recorder().spans();
   ASSERT_FALSE(spans.empty());
   // One trace id across the whole walk; virtual time is the span index.
   for (size_t i = 0; i < spans.size(); ++i) {
@@ -98,7 +98,7 @@ TEST(SimTrace, UntracedSystemRecordsNothing) {
   cfg.trace = false;
   sim::SimSystem sys(cfg);
   sys.publish(0, EventBuilder(sys.schema()).set("symbol", "OTE").build());
-  EXPECT_TRUE(sys.trace_ring().snapshot().empty());
+  EXPECT_TRUE(sys.flight_recorder().spans().empty());
 }
 
 TEST(SimTrace, PublishBatchSpansMatchSequentialPublish) {
@@ -122,8 +122,8 @@ TEST(SimTrace, PublishBatchSpansMatchSequentialPublish) {
 
   // Sharded walks fold their spans back in event order at the barrier, so
   // the ring is byte-identical to the sequential loop.
-  EXPECT_EQ(obs::to_jsonl(par.trace_ring().snapshot()),
-            obs::to_jsonl(seq.trace_ring().snapshot()));
+  EXPECT_EQ(obs::to_jsonl(par.flight_recorder().spans()),
+            obs::to_jsonl(seq.flight_recorder().spans()));
 }
 
 // --- TCP cluster: causal traces, retries, RPCs ------------------------------
@@ -227,7 +227,7 @@ TEST(ClusterTrace, BlackholedPeerGetsRetrySpansAndCounters) {
                 "subsum_peer_rpc_retries_total{peer=\"0\"}"),
             0u);
 
-  const auto spans = cluster.node(0).trace_ring().for_trace(trace);
+  const auto spans = cluster.node(0).flight_recorder().spans(trace);
   const auto retries = std::count_if(spans.begin(), spans.end(), [](const obs::Span& sp) {
     return sp.phase == obs::Phase::kRetry;
   });
